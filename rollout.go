@@ -164,5 +164,11 @@ func rolloutLess(a, b RolloutReport) bool {
 	if a.Security.ASP != b.Security.ASP {
 		return a.Security.ASP < b.Security.ASP
 	}
-	return a.COA > b.COA
+	if a.COA != b.COA {
+		return a.COA > b.COA
+	}
+	// Step is the final tiebreak: points arrive in completion order and
+	// fractions that ceil to the same patched counts tie exactly, so
+	// without it the frontier's order would follow arrival.
+	return a.Step < b.Step
 }

@@ -7,8 +7,8 @@
 # solves, one hit, straight off /metrics), that the fleet registry
 # survived the restart, that ?explain=1 and /debug/traces surface
 # provenance, and that the mixed-version rollout endpoint streams a
-# frontier. Leaves traces.json in the working directory for artifact
-# upload.
+# frontier whose done trailer is byte-identical across repeat runs.
+# Leaves traces.json in the working directory for artifact upload.
 #
 # Then the cluster smoke: a coordinator sharding a sweep over two
 # worker processes, one of which is SIGKILLed mid-sweep — the stream
@@ -90,6 +90,20 @@ ROLLOUT=$(curl -sf -X POST "$ADDR/api/v2/rollout/sweep" \
   -d '{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},"schedule":{"strategy":"one-shot"}}')
 echo "$ROLLOUT" | grep -F '"done":true' >/dev/null
 echo "$ROLLOUT" | grep -F '"frontier"' >/dev/null
+# The frontier is a pure function of the points: a rolling schedule
+# whose fractions ceil to the same patched counts ties exactly, and the
+# same rollout streamed twice (points in completion order) must end in
+# byte-identical done trailers.
+RBODY='{"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},"schedule":{"strategy":"rolling","steps":6}}'
+R1=$(curl -sf -X POST "$ADDR/api/v2/rollout/sweep" -d "$RBODY" | tail -n 1)
+R2=$(curl -sf -X POST "$ADDR/api/v2/rollout/sweep" -d "$RBODY" | tail -n 1)
+echo "$R1" | grep -F '"frontier"' >/dev/null
+if [ "$R1" != "$R2" ]; then
+  echo "rollout trailer differs between two identical streams:" >&2
+  echo "first: $R1" >&2
+  echo "second: $R2" >&2
+  exit 1
+fi
 
 kill -TERM "$PID"
 wait "$PID"
