@@ -75,10 +75,7 @@ func newCoordinator(cfg serverConfig) (*cluster.Coordinator, int) {
 // path, so a distributed sweep's final line is byte-identical to a
 // single process evaluating the same space.
 func (s *server) streamClusterSweep(w http.ResponseWriter, r *http.Request, sc *scenario, req redpatch.SpecSweepRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	out := newNDJSONStream(w)
 
 	space := req.SweepSize()
 	shards := s.clusterShards
@@ -114,26 +111,24 @@ func (s *server) streamClusterSweep(w http.ResponseWriter, r *http.Request, sc *
 		},
 	}
 
-	// Every emitted line is parsed back into a report so the trailer's
-	// Pareto front merges incrementally from the deduplicated stream;
-	// Go's float round-trip is exact, so parse+re-marshal cannot drift
-	// from what a local evaluation would have produced.
-	var reports []redpatch.DesignReport
+	// Every line goes out verbatim and is parsed back into a report for
+	// the trailer's front, which is all the stream keeps. Go's float
+	// round-trip is exact, so parse+re-marshal cannot drift from what a
+	// local evaluation would have produced.
+	front := redpatch.NewDesignFront()
 	emit := func(rep cluster.Report) error {
 		var dr redpatch.DesignReport
 		if err := json.Unmarshal(rep.Line, &dr); err != nil {
 			return fmt.Errorf("cluster: undecodable report line: %w", err)
 		}
-		reports = append(reports, dr)
+		front.Add(dr)
 		if _, err := w.Write(rep.Line); err != nil {
 			return err
 		}
 		if _, err := w.Write([]byte{'\n'}); err != nil {
 			return err
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		_ = out.rc.Flush()
 		return nil
 	}
 
@@ -141,40 +136,14 @@ func (s *server) streamClusterSweep(w http.ResponseWriter, r *http.Request, sc *
 	// designs in completed shards, and the cache-hit ratio covers only
 	// this process's engine (shards running remotely hit the workers'
 	// caches, which /metrics on each worker reports).
-	st0 := sc.study.EngineStats()
-	start := time.Now()
-	lastProgress := start
-	progress := func(done int) {
-		if done <= 0 || done >= space || time.Since(lastProgress) < s.progressEvery {
-			return
-		}
-		lastProgress = time.Now()
-		st := sc.study.EngineStats()
-		hits := st.Hits - st0.Hits
-		ratio := 0.0
-		if looked := hits + st.Solves - st0.Solves; looked > 0 {
-			ratio = float64(hits) / float64(looked)
-		}
-		elapsed := time.Since(start)
-		eta := elapsed.Seconds() / float64(done) * float64(space-done)
-		_ = enc.Encode(map[string]any{
-			"progress":      true,
-			"done":          done,
-			"total":         space,
-			"cacheHitRatio": ratio,
-			"etaSeconds":    eta,
-		})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-
-	total, kept, err := s.coord.Sweep(r.Context(), job, shards, emit, progress)
+	progress := s.progress(out, sc, designCounters)
+	total, kept, err := s.coord.Sweep(r.Context(), job, shards, emit,
+		func(done int) { progress(done, space) })
 	if err != nil {
-		_ = enc.Encode(streamErrorTrailer(err))
+		_ = out.line(streamErrorTrailer(err))
 		return
 	}
-	_ = enc.Encode(sweepTrailer(sc.name, total, kept, reports))
+	_ = out.line(sweepTrailer(sc.name, total, kept, front))
 }
 
 // registerClusterCollectors wires the scrape-time collectors over the

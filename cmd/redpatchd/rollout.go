@@ -7,10 +7,8 @@ package main
 // carrying the Pareto frontier of the whole rollout.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"redpatch"
 )
@@ -68,68 +66,28 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // compact: one JSON object per line
-	// Progress and the per-point callback share one collector goroutine,
-	// so both share the encoder without locking. The hit ratio is the
-	// rollout-memo delta since the sweep began — points whose fractions
-	// ceil to already-solved patched counts are hits.
-	st0 := sc.study.EngineStats()
-	start := time.Now()
-	lastProgress := start
-	progress := func(done, total int) {
-		if done >= total || time.Since(lastProgress) < s.progressEvery {
-			return
-		}
-		lastProgress = time.Now()
-		st := sc.study.EngineStats()
-		hits := st.RolloutHits - st0.RolloutHits
-		ratio := 0.0
-		if looked := hits + st.RolloutSolves - st0.RolloutSolves; looked > 0 {
-			ratio = float64(hits) / float64(looked)
-		}
-		elapsed := time.Since(start)
-		eta := elapsed.Seconds() / float64(done) * float64(total-done)
-		_ = enc.Encode(map[string]any{
-			"progress":      true,
-			"done":          done,
-			"total":         total,
-			"cacheHitRatio": ratio,
-			"etaSeconds":    eta,
-		})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// The frontier needs every point, so reports accumulate for the
-	// trailer; the expansion is capped at maxDesigns points above.
-	reports := make([]redpatch.RolloutReport, 0, len(points))
+	// The frontier is maintained as points are emitted, so the stream
+	// holds the frontier, never the points.
+	out := newNDJSONStream(w)
+	front := redpatch.NewRolloutPointFront()
 	total, err := sc.study.RolloutSweepEach(r.Context(), req.Spec, req.Schedule, func(rep redpatch.RolloutReport) error {
-		reports = append(reports, rep)
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}, progress)
+		front.Add(rep)
+		return out.line(rep)
+	}, s.progress(out, sc, rolloutCounters))
 	if err != nil {
-		_ = enc.Encode(streamErrorTrailer(err))
+		_ = out.line(streamErrorTrailer(err))
 		return
 	}
 	trailer := map[string]any{
 		"done":     true,
 		"scenario": sc.name,
 		"total":    total,
-		"frontier": redpatch.RolloutPareto(reports),
+		"frontier": front.Sorted(),
 	}
 	if wantExplain(r) {
 		// Every solver span has ended by now; the provenance block covers
 		// the whole sweep.
 		trailer["explain"] = s.explain(r.Context())
 	}
-	_ = enc.Encode(trailer)
+	_ = out.line(trailer)
 }

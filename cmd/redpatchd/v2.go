@@ -6,7 +6,6 @@ package main
 // tenants or what-if studies — each behind its own memoizing engine.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -461,15 +460,16 @@ func (s *server) handleParetoV2(w http.ResponseWriter, r *http.Request) {
 // sweepTrailer is the NDJSON done trailer both sweep-stream paths —
 // local and cluster — build, so a distributed sweep's final line is
 // byte-identical to a single process's: total designs enumerated, kept
-// reports, and the Pareto front over them (whose order is a pure
-// function of its members, so merge order cannot show through).
-func sweepTrailer(scenario string, total, kept int, reports []redpatch.DesignReport) map[string]any {
+// reports, and the Pareto front the stream maintained as it emitted
+// them (whose order is a pure function of its members, so merge order
+// cannot show through).
+func sweepTrailer(scenario string, total, kept int, front *redpatch.DesignFront) map[string]any {
 	return map[string]any{
 		"done":     true,
 		"scenario": scenario,
 		"total":    total,
 		"kept":     kept,
-		"pareto":   redpatch.Pareto(reports),
+		"pareto":   front.Sorted(),
 	}
 }
 
@@ -518,57 +518,19 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 
 // streamLocalSweep runs the sweep on this process's own engine — the
 // only path in a plain single-process daemon, and the worker/fallback
-// path in a cluster.
+// path in a cluster. The trailer's front is all it keeps of the reports.
 func (s *server) streamLocalSweep(w http.ResponseWriter, r *http.Request, sc *scenario, req redpatch.SpecSweepRequest) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not batch the stream
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // compact: one JSON object per line
-	var reports []redpatch.DesignReport
-	// Progress runs on the same collector goroutine as the per-report
-	// callback, so both share the encoder without locking. The cache-hit
-	// ratio is computed from the engine-stats delta since the sweep
-	// began, not the lifetime totals, so it describes this sweep.
-	st0 := sc.study.EngineStats()
-	start := time.Now()
-	lastProgress := start
-	progress := func(done, total int) {
-		if done >= total || time.Since(lastProgress) < s.progressEvery {
-			return
-		}
-		lastProgress = time.Now()
-		st := sc.study.EngineStats()
-		hits := st.Hits - st0.Hits
-		ratio := 0.0
-		if looked := hits + st.Solves - st0.Solves; looked > 0 {
-			ratio = float64(hits) / float64(looked)
-		}
-		elapsed := time.Since(start)
-		eta := elapsed.Seconds() / float64(done) * float64(total-done)
-		_ = enc.Encode(map[string]any{
-			"progress":      true,
-			"done":          done,
-			"total":         total,
-			"cacheHitRatio": ratio,
-			"etaSeconds":    eta,
-		})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	out := newNDJSONStream(w)
+	front := redpatch.NewDesignFront()
+	kept := 0
 	total, err := sc.study.SweepSpecEachProgress(r.Context(), req, func(rep redpatch.DesignReport) error {
-		reports = append(reports, rep)
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}, progress)
+		kept++
+		front.Add(rep)
+		return out.line(rep)
+	}, s.progress(out, sc, designCounters))
 	if err != nil {
-		_ = enc.Encode(streamErrorTrailer(err))
+		_ = out.line(streamErrorTrailer(err))
 		return
 	}
-	_ = enc.Encode(sweepTrailer(sc.name, total, len(reports), reports))
+	_ = out.line(sweepTrailer(sc.name, total, kept, front))
 }

@@ -22,9 +22,10 @@
 // Results are deduplicated by design key as they stream in (a retried
 // or hedged shard may re-emit designs its failed attempt already
 // delivered; every emission is a correct evaluation of the same
-// design, so dropping duplicates is safe), and the coordinator's
-// caller merges Pareto fronts incrementally from the deduplicated
-// stream. Every dispatch and probe runs through an optional
+// design, so dropping duplicates is safe). The coordinator's caller
+// adds each deduplicated report to one incremental Pareto front
+// (internal/pareto) as it forwards the line, so its trailer memory is
+// the front, never the stream. Every dispatch and probe runs through an optional
 // faultinject site, so the whole layer is chaos-testable in-process.
 package cluster
 

@@ -5,8 +5,9 @@
 // ensures overlapping sweeps never solve the same HARM/CTMC models twice —
 // the first caller computes, every concurrent duplicate waits for that one
 // result. Sweeps (sweep.go) enumerate per-tier redundancy ranges and stream
-// results through administrator-bound and Pareto filters incrementally, so
-// large spaces never accumulate rejected results in memory.
+// results through the administrator-bound filters incrementally, so large
+// spaces never accumulate rejected results in memory. Pareto fronts are an
+// output concern of the callers (internal/pareto).
 //
 // One Engine wraps one evaluator and therefore one patch policy and
 // schedule; construct one engine per policy configuration (the redpatch

@@ -224,25 +224,19 @@ type SweepResult struct {
 	// Kept holds the results passing the spec's bounds, in enumeration
 	// order.
 	Kept []redundancy.Result
-	// Front is the Pareto front (minimize after-patch ASP, maximize COA)
-	// over Kept, sorted by ascending ASP.
-	Front []redundancy.Result
 }
 
 // Sweep evaluates the whole spec on the worker pool and returns the
-// bound-filtered results plus their Pareto front. Rejected results are
-// discarded as they arrive; the front is maintained incrementally, so
-// peak memory is proportional to the kept set, not the space.
+// bound-filtered results. Rejected results are discarded as they
+// arrive, so peak memory is proportional to the kept set, not the space.
 func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error) {
 	type kept struct {
 		idx int
 		res redundancy.Result
 	}
 	var ks []kept
-	var front paretoFront
 	total, err := g.sweep(ctx, spec, func(idx int, r redundancy.Result) error {
 		ks = append(ks, kept{idx, r})
-		front.insert(r)
 		return nil
 	}, nil)
 	if err != nil {
@@ -254,25 +248,7 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error)
 	for i, k := range ks {
 		out.Kept[i] = k.res
 	}
-	// ParetoFront both orders the front canonically and keeps the
-	// dominance semantics in one place.
-	out.Front = redundancy.ParetoFront(front.front)
 	return out, nil
-}
-
-// SweepPareto sweeps the spec but retains only the incremental Pareto
-// front — peak memory is the front, not the kept set. It returns the
-// number of enumerated designs and the front sorted by ascending ASP.
-func (g *Engine) SweepPareto(ctx context.Context, spec SweepSpec) (int, []redundancy.Result, error) {
-	var front paretoFront
-	total, err := g.sweep(ctx, spec, func(_ int, r redundancy.Result) error {
-		front.insert(r)
-		return nil
-	}, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return total, redundancy.ParetoFront(front.front), nil
 }
 
 // SweepFunc streams every result passing the spec's bounds to fn as it
@@ -353,28 +329,4 @@ func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redun
 		return 0, err
 	}
 	return len(designs), nil
-}
-
-// paretoFront maintains a (minimize ASP, maximize COA) front under
-// insertion: dominated newcomers are rejected, newcomers evict the
-// members they dominate.
-type paretoFront struct {
-	front []redundancy.Result
-}
-
-func (p *paretoFront) insert(r redundancy.Result) {
-	// keep compacts in place. The early return below cannot corrupt the
-	// front: if some member dominates r, then (by transitivity of
-	// dominance) no earlier member was dominated by r, so nothing has
-	// been dropped and every write so far was an identity write.
-	keep := p.front[:0]
-	for _, s := range p.front {
-		if redundancy.Dominates(s, r) {
-			return // r dominated by an existing member; front unchanged
-		}
-		if !redundancy.Dominates(r, s) {
-			keep = append(keep, s)
-		}
-	}
-	p.front = append(keep, r)
 }

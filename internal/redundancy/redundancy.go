@@ -9,7 +9,6 @@ package redundancy
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -712,41 +711,6 @@ func Filter(results []Result, b Bound) []Result {
 		}
 	}
 	return out
-}
-
-// Dominates reports whether a dominates b on the (minimize after-patch
-// ASP, maximize COA) plane: a.ASP <= b.ASP and a.COA >= b.COA with at
-// least one strict. ParetoFront and the engine's incremental front both
-// apply this one predicate.
-func Dominates(a, b Result) bool {
-	return a.After.ASP <= b.After.ASP && a.COA >= b.COA &&
-		(a.After.ASP < b.After.ASP || a.COA > b.COA)
-}
-
-// ParetoFront returns the designs not dominated on the
-// (minimize after-patch ASP, maximize COA) plane, sorted by ascending
-// ASP.
-func ParetoFront(results []Result) []Result {
-	var front []Result
-	for i, r := range results {
-		dominated := false
-		for j, s := range results {
-			if i != j && Dominates(s, r) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
-	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].After.ASP != front[j].After.ASP {
-			return front[i].After.ASP < front[j].After.ASP
-		}
-		return front[i].COA > front[j].COA
-	})
-	return front
 }
 
 // CostModel monetizes a design per month, the economic extension the

@@ -165,39 +165,6 @@ func designNames(results []Result) []string {
 	return out
 }
 
-func TestParetoFront(t *testing.T) {
-	_, results := evaluator(t)
-	front := ParetoFront(results)
-	if len(front) == 0 {
-		t.Fatal("front must not be empty")
-	}
-	// D1 is dominated by D2 (same ASP, higher COA) and must be absent.
-	for _, r := range front {
-		if r.Spec.Name == "D1" {
-			t.Error("D1 is dominated by D2 and must not be on the front")
-		}
-	}
-	// D2 (lowest ASP among survivors) and D4 (highest COA) must be on it.
-	var sawD2, sawD4 bool
-	for _, r := range front {
-		switch r.Spec.Name {
-		case "D2":
-			sawD2 = true
-		case "D4":
-			sawD4 = true
-		}
-	}
-	if !sawD2 || !sawD4 {
-		t.Errorf("front = %v, expected D2 and D4 present", designNames(front))
-	}
-	// Sorted by ascending ASP.
-	for i := 1; i < len(front); i++ {
-		if front[i-1].After.ASP > front[i].After.ASP {
-			t.Error("front must be sorted by ascending ASP")
-		}
-	}
-}
-
 func TestCostModel(t *testing.T) {
 	_, results := evaluator(t)
 	c := CostModel{ServerPerMonth: 100, DowntimePerHour: 1000, BreachLoss: 10000}

@@ -398,29 +398,3 @@ func TestPatchedCounts(t *testing.T) {
 		t.Error("fraction above 1 should fail")
 	}
 }
-
-func TestRolloutFront(t *testing.T) {
-	mk := func(asp, coa float64) RolloutResult {
-		return RolloutResult{Security: harm.Metrics{ASP: asp}, COA: coa}
-	}
-	points := []RolloutResult{
-		mk(0.9, 1.0),   // unpatched end: worst security, best availability
-		mk(0.5, 0.999), // mid-rollout: on the frontier
-		mk(0.5, 0.99),  // dominated by the point above
-		mk(0.2, 0.995), // patched end
-	}
-	front := RolloutFront(points)
-	if len(front) != 3 {
-		t.Fatalf("front has %d points, want 3: %+v", len(front), front)
-	}
-	for i := 1; i < len(front); i++ {
-		if front[i].Security.ASP < front[i-1].Security.ASP {
-			t.Errorf("front not sorted by ascending ASP: %+v", front)
-		}
-	}
-	for _, f := range front {
-		if f.Security.ASP == 0.5 && f.COA == 0.99 {
-			t.Error("dominated point survived")
-		}
-	}
-}

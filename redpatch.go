@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"time"
 
@@ -40,6 +41,7 @@ import (
 	"redpatch/internal/faultinject"
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
+	"redpatch/internal/pareto"
 	"redpatch/internal/patch"
 	"redpatch/internal/redundancy"
 )
@@ -442,45 +444,30 @@ func FilterMulti(reports []DesignReport, b MultiBounds) []DesignReport {
 	return out
 }
 
-// Pareto returns the reports not dominated on (minimize after-patch ASP,
-// maximize COA), sorted by ascending ASP.
-func Pareto(reports []DesignReport) []DesignReport {
-	var front []DesignReport
-	for i, r := range reports {
-		dominated := false
-		for j, s := range reports {
-			if i == j {
-				continue
-			}
-			if s.After.ASP <= r.After.ASP && s.COA >= r.COA &&
-				(s.After.ASP < r.After.ASP || s.COA > r.COA) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
-	}
-	for i := 1; i < len(front); i++ {
-		for j := i; j > 0 && less(front[j], front[j-1]); j-- {
-			front[j], front[j-1] = front[j-1], front[j]
-		}
-	}
-	return front
+// DesignFront is an incrementally maintained Pareto front of design
+// reports: Add reports as they arrive, Sorted returns what Pareto would
+// for all of them. Its memory is the front, not the reports added.
+type DesignFront = pareto.Front[DesignReport]
+
+// NewDesignFront returns an empty front on (minimize after-patch ASP,
+// maximize COA). Name is the final tiebreak, so the front's order is a
+// pure function of its members: a sharded sweep that merges shard
+// results in arrival order serializes the same front bytes as a local
+// sweep.
+func NewDesignFront() *DesignFront {
+	return pareto.New(
+		func(r DesignReport) pareto.Point { return pareto.Point{ASP: r.After.ASP, COA: r.COA} },
+		func(a, b DesignReport) int { return strings.Compare(a.Name, b.Name) })
 }
 
-func less(a, b DesignReport) bool {
-	if a.After.ASP != b.After.ASP {
-		return a.After.ASP < b.After.ASP
+// Pareto returns the reports not dominated on (minimize after-patch ASP,
+// maximize COA), sorted by ascending ASP, descending COA, then name.
+func Pareto(reports []DesignReport) []DesignReport {
+	f := NewDesignFront()
+	for _, r := range reports {
+		f.Add(r)
 	}
-	if a.COA != b.COA {
-		return a.COA > b.COA
-	}
-	// Name is the final tiebreak so the front's order is a pure function
-	// of its members — a sharded sweep that merges shard results in
-	// arrival order serializes the same front bytes as a local sweep.
-	return a.Name < b.Name
+	return f.Sorted()
 }
 
 // CostModel monetizes a design per month (the paper's §V economics
@@ -796,33 +783,35 @@ func (s *CaseStudy) SweepSpec(ctx context.Context, req SpecSweepRequest) (SweepS
 	if err != nil {
 		return SweepSummary{}, err
 	}
-	out := SweepSummary{
-		Total:   res.Total,
-		Reports: make([]DesignReport, len(res.Kept)),
-		Pareto:  make([]DesignReport, len(res.Front)),
-	}
+	out := SweepSummary{Total: res.Total, Reports: make([]DesignReport, len(res.Kept))}
 	for i, r := range res.Kept {
 		out.Reports[i] = convert(r)
 	}
-	for i, r := range res.Front {
-		out.Pareto[i] = convert(r)
-	}
+	out.Pareto = nonNil(Pareto(out.Reports))
 	return out, nil
 }
 
 // SweepSpecPareto evaluates the requested design space but returns only
 // its Pareto front (plus the enumerated-design count) — for callers that
-// do not need the full kept set.
+// do not need the full kept set. Peak memory is the front.
 func (s *CaseStudy) SweepSpecPareto(ctx context.Context, req SpecSweepRequest) (int, []DesignReport, error) {
-	total, front, err := s.eng.SweepPareto(ctx, req.spec())
+	f := NewDesignFront()
+	total, err := s.SweepSpecEach(ctx, req, func(r DesignReport) error {
+		f.Add(r)
+		return nil
+	})
 	if err != nil {
 		return 0, nil, err
 	}
-	out := make([]DesignReport, len(front))
-	for i, r := range front {
-		out[i] = convert(r)
+	return total, nonNil(f.Sorted()), nil
+}
+
+// nonNil keeps an empty sweep front encoding as [] rather than null.
+func nonNil(front []DesignReport) []DesignReport {
+	if front == nil {
+		return []DesignReport{}
 	}
-	return total, out, nil
+	return front
 }
 
 // SweepSpecEach streams every report passing the request's bounds to fn
@@ -830,9 +819,7 @@ func (s *CaseStudy) SweepSpecPareto(ctx context.Context, req SpecSweepRequest) (
 // collector goroutine; returning an error cancels the sweep. The total
 // number of enumerated designs is returned.
 func (s *CaseStudy) SweepSpecEach(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error) (int, error) {
-	return s.eng.SweepFunc(ctx, req.spec(), func(r redundancy.Result) error {
-		return fn(convert(r))
-	})
+	return s.SweepSpecEachProgress(ctx, req, fn, nil)
 }
 
 // SweepSpecEachProgress is SweepSpecEach plus a progress callback:

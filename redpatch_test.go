@@ -346,6 +346,27 @@ func TestSweepMatchesEnumerate(t *testing.T) {
 	}
 }
 
+// TestSweepSpecParetoMatchesSweepSpec pins the front-only sweep, which
+// keeps nothing but the incremental front, to the full sweep's front.
+func TestSweepSpecParetoMatchesSweepSpec(t *testing.T) {
+	s, _ := caseStudy(t)
+	req := FullSweep(2).Spec()
+	full, err := s.SweepSpec(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, front, err := s.SweepSpecPareto(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != full.Total {
+		t.Fatalf("total = %d, want %d", total, full.Total)
+	}
+	if !reflect.DeepEqual(front, full.Pareto) {
+		t.Fatalf("front-only sweep returned %d members, SweepSpec returned %d", len(front), len(full.Pareto))
+	}
+}
+
 // TestSweepBoundsAndStats checks incremental bound filtering plus the
 // cache counters behind it.
 func TestSweepBoundsAndStats(t *testing.T) {

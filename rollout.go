@@ -1,9 +1,11 @@
 package redpatch
 
 import (
+	"cmp"
 	"context"
 
 	"redpatch/internal/paperdata"
+	"redpatch/internal/pareto"
 	"redpatch/internal/redundancy"
 )
 
@@ -131,44 +133,28 @@ func (s *CaseStudy) RolloutSweepEach(ctx context.Context, spec DesignSpec, sched
 	return len(points), nil
 }
 
+// RolloutPointFront is an incrementally maintained security-availability
+// frontier of rollout points; Sorted returns what RolloutPareto would.
+type RolloutPointFront = pareto.Front[RolloutReport]
+
+// NewRolloutPointFront returns an empty frontier on (minimize
+// mixed-version ASP, maximize COA). Step is the final tiebreak: points
+// arrive in completion order and fractions that ceil to the same
+// patched counts tie exactly, so without it the order would follow
+// arrival.
+func NewRolloutPointFront() *RolloutPointFront {
+	return pareto.New(
+		func(r RolloutReport) pareto.Point { return pareto.Point{ASP: r.Security.ASP, COA: r.COA} },
+		func(a, b RolloutReport) int { return cmp.Compare(a.Step, b.Step) })
+}
+
 // RolloutPareto returns the rollout points not dominated on the
 // (minimize mixed-version ASP, maximize COA) plane, sorted by ascending
 // ASP — the security-availability frontier of the rollout itself.
 func RolloutPareto(points []RolloutReport) []RolloutReport {
-	var front []RolloutReport
-	for i, r := range points {
-		dominated := false
-		for j, s := range points {
-			if i == j {
-				continue
-			}
-			if s.Security.ASP <= r.Security.ASP && s.COA >= r.COA &&
-				(s.Security.ASP < r.Security.ASP || s.COA > r.COA) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, r)
-		}
+	f := NewRolloutPointFront()
+	for _, p := range points {
+		f.Add(p)
 	}
-	for i := 1; i < len(front); i++ {
-		for j := i; j > 0 && rolloutLess(front[j], front[j-1]); j-- {
-			front[j], front[j-1] = front[j-1], front[j]
-		}
-	}
-	return front
-}
-
-func rolloutLess(a, b RolloutReport) bool {
-	if a.Security.ASP != b.Security.ASP {
-		return a.Security.ASP < b.Security.ASP
-	}
-	if a.COA != b.COA {
-		return a.COA > b.COA
-	}
-	// Step is the final tiebreak: points arrive in completion order and
-	// fractions that ceil to the same patched counts tie exactly, so
-	// without it the frontier's order would follow arrival.
-	return a.Step < b.Step
+	return f.Sorted()
 }
