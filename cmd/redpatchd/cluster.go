@@ -128,7 +128,7 @@ func (s *server) streamClusterSweep(w http.ResponseWriter, r *http.Request, sc *
 		if _, err := w.Write([]byte{'\n'}); err != nil {
 			return err
 		}
-		_ = out.rc.Flush()
+		_ = out.rc.Flush() // as in line: a non-flushing writer just buffers
 		return nil
 	}
 

@@ -25,8 +25,9 @@
 // design, so dropping duplicates is safe). The coordinator's caller
 // adds each deduplicated report to one incremental Pareto front
 // (internal/pareto) as it forwards the line, so its trailer memory is
-// the front, never the stream. Every dispatch and probe runs through an optional
-// faultinject site, so the whole layer is chaos-testable in-process.
+// the front, never the stream. Every dispatch and probe runs through an
+// optional faultinject site, so the whole layer is chaos-testable
+// in-process.
 package cluster
 
 import (
