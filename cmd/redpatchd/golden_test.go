@@ -13,7 +13,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
+
+	"redpatch"
 )
 
 // goldenSweep is the fixed space: 1..4 replicas on each of the four
@@ -62,4 +66,99 @@ func TestGoldenSweepV2Pareto(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden_sweep_v2_pareto.json", append(resp["pareto"], '\n'))
+}
+
+// Golden pins for the engine counters and the design-spec wire shape:
+// the engine block as /healthz, /api/v2/scenarios and /metrics render
+// it after a fixed sweep plus a rollout, a v2 evaluate of a variant
+// design, and the fleet registry listing. Wall-clock values (uptime,
+// scenario creation time) are masked before comparing.
+
+var (
+	uptimeField  = regexp.MustCompile(`("uptimeSeconds":\s*)[^,\n}]+`)
+	createdField = regexp.MustCompile(`("created":\s*)"[^"]*"`)
+)
+
+// maskClock replaces the wall-clock values of a response body.
+func maskClock(body []byte) []byte {
+	body = uptimeField.ReplaceAll(body, []byte(`${1}0`))
+	return createdField.ReplaceAll(body, []byte(`${1}"-"`))
+}
+
+// goldenCountersServer is a fresh single-worker server (so every memo
+// counter is deterministic) after one fixed sweep with a variant tier
+// and one rolling/4 rollout of the base design.
+func goldenCountersServer(t *testing.T) http.Handler {
+	t.Helper()
+	study, err := redpatch.NewCaseStudyWithConfig(redpatch.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := mustServer(t, study, serverConfig{maxDesigns: 4096, maxReplicas: 16}).handler()
+	for _, req := range []struct{ path, body string }{
+		{"/api/v2/sweep/stream", `{"tiers":[
+			{"role":"dns","min":1,"max":2},
+			{"role":"web","min":1,"max":2,"variants":["","webalt"]},
+			{"role":"app","min":1,"max":2},
+			{"role":"db","min":1,"max":1}]}`},
+		{"/api/v2/rollout/sweep", `{
+			"spec":{"tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},
+			"schedule":{"strategy":"rolling","steps":4}}`},
+	} {
+		if w := do(t, h, http.MethodPost, req.path, req.body); w.Code != http.StatusOK {
+			t.Fatalf("%s status = %d: %s", req.path, w.Code, w.Body)
+		}
+	}
+	return h
+}
+
+func TestGoldenEngineCounters(t *testing.T) {
+	h := goldenCountersServer(t)
+	get := func(path string) []byte {
+		w := do(t, h, http.MethodGet, path, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s status = %d: %s", path, w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	checkGolden(t, "golden_healthz.json", maskClock(get("/healthz")))
+	checkGolden(t, "golden_scenarios.json", maskClock(get("/api/v2/scenarios")))
+
+	// The queue-wait histogram measures wall time, so only the counter
+	// and gauge families are pinned.
+	var engine []byte
+	for _, line := range strings.SplitAfter(string(get("/metrics")), "\n") {
+		if strings.Contains(line, "redpatchd_engine_") && !strings.Contains(line, "queue_wait") {
+			engine = append(engine, line...)
+		}
+	}
+	checkGolden(t, "golden_metrics_engine.txt", engine)
+}
+
+func TestGoldenEvaluateV2Variant(t *testing.T) {
+	w := do(t, testServer(t).handler(), http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[
+		{"role":"dns","replicas":1},
+		{"role":"web","replicas":1},
+		{"role":"web","replicas":2,"variant":"webalt"},
+		{"role":"app","replicas":2},
+		{"role":"db","replicas":1}]}}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body)
+	}
+	checkGolden(t, "golden_evaluate_v2_variant.json", w.Body.Bytes())
+}
+
+func TestGoldenFleetSystems(t *testing.T) {
+	h := mustServer(t, newStudy(t), serverConfig{}).handler()
+	variant := `{"id":"edge-c","role":"web","windowMinutes":90,"successProbability":0.9,"rollbackMinutes":15,
+		"tiers":[{"role":"web","replicas":1},{"role":"web","replicas":2,"variant":"webalt"},{"role":"db","replicas":1}]}`
+	if w := do(t, h, http.MethodPost, "/api/v2/fleet/register",
+		`{"systems":[`+fleetSystemB+`,`+variant+`,`+fleetSystemA+`]}`); w.Code != http.StatusOK {
+		t.Fatalf("register status = %d: %s", w.Code, w.Body)
+	}
+	w := do(t, h, http.MethodGet, "/api/v2/fleet/systems", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body)
+	}
+	checkGolden(t, "golden_fleet_systems.json", w.Body.Bytes())
 }

@@ -3,6 +3,8 @@ package redpatch
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,5 +175,108 @@ func TestFingerprintContentAddressesDataset(t *testing.T) {
 		if other.fingerprint() == fp {
 			t.Fatalf("config %+v shares the default fingerprint", other)
 		}
+	}
+}
+
+// TestCachePersistenceOldSnapshot: testdata/engine_snapshot_v2.json was
+// written before the design spec carried JSON tags, so its specs use
+// Go's default "Name"/"Tiers"/"Role"/"Replicas"/"Variant" keys. JSON
+// decoding matches keys case-insensitively, so such -cache-dir dumps
+// must still restore every entry and serve the same reports as a fresh
+// solve, without solving.
+func TestCachePersistenceOldSnapshot(t *testing.T) {
+	specs := []DesignSpec{
+		{Name: "base", Tiers: []TierSpec{
+			{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 2},
+			{Role: "app", Replicas: 2}, {Role: "db", Replicas: 1},
+		}},
+		{Tiers: []TierSpec{
+			{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 1},
+			{Role: "web", Replicas: 2, Variant: "webalt"},
+			{Role: "app", Replicas: 2}, {Role: "db", Replicas: 1},
+		}},
+		{Name: "three-tier", Tiers: []TierSpec{
+			{Role: "web", Replicas: 3}, {Role: "app", Replicas: 1}, {Role: "db", Replicas: 2},
+		}},
+	}
+	dump, err := os.ReadFile(filepath.Join("testdata", "engine_snapshot_v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(dump, []byte(`"Tiers":[{"Role":"dns","Replicas":1,"Variant":""}`)) {
+		t.Fatal("fixture no longer holds the old capitalized spec keys")
+	}
+	cold, err := NewCaseStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cold.RestoreCache(bytes.NewReader(dump)); err != nil || n != len(specs) {
+		t.Fatalf("restored = %d, err = %v, want %d", n, err, len(specs))
+	}
+	fresh, err := NewCaseStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		got, err := cold.EvaluateSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.EvaluateSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored %s differs from a fresh solve:\ngot  %+v\nwant %+v", spec.Key(), got, want)
+		}
+	}
+	if st := cold.EngineStats(); st.Solves != 0 || st.Hits != uint64(len(specs)) {
+		t.Fatalf("restored study solved %d / hit %d, want 0 / %d", st.Solves, st.Hits, len(specs))
+	}
+}
+
+// TestCachePersistenceMemoOwnsSpec: the engine memo must not keep the
+// caller's Tiers slice. A caller that reuses its spec after evaluating
+// it must neither corrupt the cached entry (which a snapshot would then
+// reject as keyed for another design) nor change what a later hit
+// reports.
+func TestCachePersistenceMemoOwnsSpec(t *testing.T) {
+	warm, err := NewCaseStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers := func() []TierSpec {
+		return []TierSpec{
+			{Role: "dns", Replicas: 1}, {Role: "web", Replicas: 2},
+			{Role: "app", Replicas: 2}, {Role: "db", Replicas: 1},
+		}
+	}
+	spec := DesignSpec{Name: "reused", Tiers: tiers()}
+	if _, err := warm.EvaluateSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Tiers[0].Replicas = 3
+
+	var buf bytes.Buffer
+	if n, err := warm.SnapshotCache(&buf); err != nil || n != 1 {
+		t.Fatalf("snapshot entries = %d, err = %v, want 1", n, err)
+	}
+	cold, err := NewCaseStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cold.RestoreCache(&buf); err != nil || n != 1 {
+		t.Fatalf("restored = %d, err = %v, want 1", n, err)
+	}
+	original := DesignSpec{Name: "reused", Tiers: tiers()}
+	got, err := cold.EvaluateSpec(original)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.EngineStats(); st.Solves != 0 || st.Hits != 1 {
+		t.Fatalf("original spec solved %d / hit %d, want 0 / 1", st.Solves, st.Hits)
+	}
+	if !reflect.DeepEqual(got.Spec, original) {
+		t.Fatalf("hit reports spec %+v, want %+v", got.Spec, original)
 	}
 }
