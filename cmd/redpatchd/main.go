@@ -526,50 +526,11 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// statsJSON mirrors redpatch.EngineStats in the wire format.
-type statsJSON struct {
-	Solves             uint64 `json:"solves"`
-	Hits               uint64 `json:"hits"`
-	FactoredSolves     uint64 `json:"factoredSolves"`
-	SRNSolves          uint64 `json:"srnSolves"`
-	TierSolves         uint64 `json:"tierSolves"`
-	TierFactorHits     uint64 `json:"tierFactorHits"`
-	SecurityFactored   uint64 `json:"securityFactored"`
-	SecuritySolves     uint64 `json:"securitySolves"`
-	SecurityFactorHits uint64 `json:"securityFactorHits"`
-	RolloutSolves      uint64 `json:"rolloutSolves"`
-	RolloutHits        uint64 `json:"rolloutHits"`
-	RolloutModels      uint64 `json:"rolloutModels"`
-	RolloutModelHits   uint64 `json:"rolloutModelHits"`
-}
-
-func toStatsJSON(st redpatch.EngineStats) statsJSON {
-	return statsJSON{
-		Solves:             st.Solves,
-		Hits:               st.Hits,
-		FactoredSolves:     st.FactoredSolves,
-		SRNSolves:          st.SRNSolves,
-		TierSolves:         st.TierSolves,
-		TierFactorHits:     st.TierFactorHits,
-		SecurityFactored:   st.SecurityFactored,
-		SecuritySolves:     st.SecuritySolves,
-		SecurityFactorHits: st.SecurityFactorHits,
-		RolloutSolves:      st.RolloutSolves,
-		RolloutHits:        st.RolloutHits,
-		RolloutModels:      st.RolloutModels,
-		RolloutModelHits:   st.RolloutModelHits,
-	}
-}
-
-func (s *server) stats() statsJSON {
-	return toStatsJSON(s.study.EngineStats())
-}
-
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":        "ok",
 		"uptimeSeconds": time.Since(s.started).Seconds(),
-		"engine":        s.stats(),
+		"engine":        s.study.EngineStats(),
 		"scenarios":     len(s.reg.list()),
 	})
 }
@@ -696,7 +657,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		"kept":    len(sum.Reports),
 		"reports": sum.Reports,
 		"pareto":  sum.Pareto,
-		"engine":  s.stats(),
+		"engine":  s.study.EngineStats(),
 	})
 }
 
@@ -714,7 +675,7 @@ func (s *server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"total":  total,
 		"pareto": front,
-		"engine": s.stats(),
+		"engine": s.study.EngineStats(),
 	})
 }
 

@@ -39,10 +39,10 @@ type scenario struct {
 
 // scenarioJSON is the wire view of a scenario.
 type scenarioJSON struct {
-	Name    string         `json:"name"`
-	Config  scenarioConfig `json:"config"`
-	Created time.Time      `json:"created"`
-	Engine  statsJSON      `json:"engine"`
+	Name    string               `json:"name"`
+	Config  scenarioConfig       `json:"config"`
+	Created time.Time            `json:"created"`
+	Engine  redpatch.EngineStats `json:"engine"`
 }
 
 func (sc *scenario) json() scenarioJSON {
@@ -50,7 +50,7 @@ func (sc *scenario) json() scenarioJSON {
 		Name:    sc.name,
 		Config:  sc.cfg,
 		Created: sc.created,
-		Engine:  toStatsJSON(sc.study.EngineStats()),
+		Engine:  sc.study.EngineStats(),
 	}
 }
 
@@ -435,7 +435,7 @@ func (s *server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 		"kept":     len(sum.Reports),
 		"reports":  sum.Reports,
 		"pareto":   sum.Pareto,
-		"engine":   toStatsJSON(sc.study.EngineStats()),
+		"engine":   sc.study.EngineStats(),
 	})
 }
 

@@ -69,17 +69,11 @@ func (w *HTTPWorker) Healthy(ctx context.Context) error {
 // progress events carry a completed-design count ("done":12), the
 // trailer carries the boolean true.
 type wireLine struct {
-	Progress bool            `json:"progress"`
-	Done     json.RawMessage `json:"done"`
-	Total    int             `json:"total"`
-	Error    string          `json:"error"`
-	Spec     struct {
-		Tiers []struct {
-			Role     string `json:"role"`
-			Replicas int    `json:"replicas"`
-			Variant  string `json:"variant"`
-		} `json:"tiers"`
-	} `json:"Spec"`
+	Progress bool                 `json:"progress"`
+	Done     json.RawMessage      `json:"done"`
+	Total    int                  `json:"total"`
+	Error    string               `json:"error"`
+	Spec     paperdata.DesignSpec `json:"Spec"`
 }
 
 // RunShard implements Worker: stream the shard's sweep and emit each
@@ -122,11 +116,7 @@ func (w *HTTPWorker) RunShard(ctx context.Context, body []byte, emit func(Report
 			// Per-shard progress: the coordinator reports shard
 			// completions instead, so these are dropped.
 		case len(wl.Spec.Tiers) > 0:
-			spec := paperdata.DesignSpec{Tiers: make([]paperdata.TierSpec, len(wl.Spec.Tiers))}
-			for i, t := range wl.Spec.Tiers {
-				spec.Tiers[i] = paperdata.TierSpec{Role: t.Role, Replicas: t.Replicas, Variant: t.Variant}
-			}
-			if err := emit(Report{Key: spec.Key(), Line: append([]byte(nil), line...)}); err != nil {
+			if err := emit(Report{Key: wl.Spec.Key(), Line: append([]byte(nil), line...)}); err != nil {
 				return 0, err
 			}
 		default:

@@ -18,6 +18,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,42 +55,47 @@ type Options struct {
 	Fingerprint string
 }
 
-// Stats counts the engine's cache behaviour. Solves is the number of
-// underlying evaluator calls; Hits the number of requests served from the
-// cache, including requests that waited on an in-flight solve of the same
-// design instead of starting their own. The remaining counters mirror
-// the wrapped evaluator's availability-solver dispatch (SolverStats)
-// when it exposes one — redundancy.Evaluator does — and stay zero for
-// evaluators that do not.
+// Stats counts the engine's cache behaviour. The JSON tags are the
+// wire shape of the "engine" block in redpatchd's /healthz, scenario
+// listing and sweep responses.
+//
+// Solves is the number of full model evaluations (underlying evaluator
+// calls); Hits the number of requests served from the memo cache,
+// including requests that joined an in-flight solve of the same design
+// instead of starting their own. The solver counters mirror the wrapped
+// evaluator's dispatch (SolverStats) when it exposes one —
+// redundancy.Evaluator does — and stay zero for evaluators that do not.
 type Stats struct {
-	Solves uint64
-	Hits   uint64
-	// FactoredSolves is the number of upper-layer availability solves
-	// served by the factored (per-tier birth–death) path.
-	FactoredSolves uint64
-	// SRNSolves is the number of upper-layer solves that generated and
-	// eliminated the full SRN.
-	SRNSolves uint64
+	Solves uint64 `json:"solves"`
+	Hits   uint64 `json:"hits"`
+	// FactoredSolves is the number of network availability models
+	// answered by the factored (per-tier birth–death) solver.
+	FactoredSolves uint64 `json:"factoredSolves"`
+	// SRNSolves is the number that generated and eliminated the full
+	// SRN.
+	SRNSolves uint64 `json:"srnSolves"`
 	// TierSolves is the number of distinct (stack, replicas) tier
-	// factors solved; TierFactorHits the number served from the memo.
-	TierSolves     uint64
-	TierFactorHits uint64
-	// SecurityFactored is the number of security evaluations served by
-	// the factored (quotient) path; SecuritySolves the number of
-	// factored security models built (one per variant structure);
-	// SecurityFactorHits the number served from the security memo.
-	SecurityFactored   uint64
-	SecuritySolves     uint64
-	SecurityFactorHits uint64
-	// RolloutSolves is the number of rollout-point evaluations the
-	// engine ran; RolloutHits the number served from (or deduplicated
-	// onto) the rollout memo. The remaining rollout counters mirror the
-	// evaluator's SolverStats: RolloutModels mixed-version security
-	// models built, RolloutModelHits evaluations served from that memo.
-	RolloutSolves    uint64
-	RolloutHits      uint64
-	RolloutModels    uint64
-	RolloutModelHits uint64
+	// factors solved behind the factored path; TierFactorHits the number
+	// served from the memo.
+	TierSolves     uint64 `json:"tierSolves"`
+	TierFactorHits uint64 `json:"tierFactorHits"`
+	// SecurityFactored is the number of spec evaluations served by the
+	// quotient (replica-symmetric) HARM evaluator; SecuritySolves the
+	// number of factored security models built (one per variant
+	// structure); SecurityFactorHits the number served from the
+	// security memo.
+	SecurityFactored   uint64 `json:"securityFactored"`
+	SecuritySolves     uint64 `json:"securitySolves"`
+	SecurityFactorHits uint64 `json:"securityFactorHits"`
+	// RolloutSolves is the number of rollout points the engine
+	// evaluated; RolloutHits the number served from (or deduplicated
+	// onto) the rollout memo; RolloutModels the mixed-version security
+	// models built (one per rollout structure); RolloutModelHits the
+	// evaluations served from that memo.
+	RolloutSolves    uint64 `json:"rolloutSolves"`
+	RolloutHits      uint64 `json:"rolloutHits"`
+	RolloutModels    uint64 `json:"rolloutModels"`
+	RolloutModelHits uint64 `json:"rolloutModelHits"`
 }
 
 // SolverStatsProvider is the optional evaluator extension surfacing
@@ -231,6 +237,9 @@ func (g *Engine) evaluateSpec(ctx context.Context, sp *trace.Span, spec paperdat
 		g.mu.Unlock()
 		sp.SetAttr("cache", "miss")
 		g.solves.Add(1)
+		// The memo outlives the call, so it must not share the caller's
+		// Tiers: the solved result keeps its own copy of the spec.
+		spec.Tiers = slices.Clone(spec.Tiers)
 		func() {
 			// The entry must reach a final state no matter how the
 			// evaluator exits: a panic that skipped close(ready) would

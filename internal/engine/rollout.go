@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -82,6 +83,9 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 		g.mu.Unlock()
 		sp.SetAttr("cache", "miss")
 		g.rolloutSolves.Add(1)
+		// Like evaluateSpec: the memoized result keeps its own copy of
+		// the caller's Tiers.
+		spec.Tiers = slices.Clone(spec.Tiers)
 		func() {
 			// Mirror evaluateSpec: the entry must reach a final state no
 			// matter how the evaluator exits, and errors are never

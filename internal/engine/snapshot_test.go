@@ -170,16 +170,20 @@ func TestRestoreRejectsCorruptEntries(t *testing.T) {
 			return strings.Replace(s, `"key":"dns:1;`, `"key":"dns:9;`, 1)
 		},
 		"invalid spec": func(s string) string {
-			return strings.Replace(s, `"Replicas":1`, `"Replicas":0`, 1)
+			return strings.Replace(s, `"replicas":1`, `"replicas":0`, 1)
 		},
 		"not json": func(string) string { return "not a snapshot" },
 	} {
 		t.Run(name, func(t *testing.T) {
+			mangled := mangle(buf.String())
+			if mangled == buf.String() {
+				t.Fatal("mangling left the snapshot unchanged")
+			}
 			fresh, err := New(ev, Options{Fingerprint: "fp"})
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := fresh.Restore(strings.NewReader(mangle(buf.String())))
+			n, err := fresh.Restore(strings.NewReader(mangled))
 			if err == nil {
 				t.Fatal("corrupt snapshot restored without error")
 			}

@@ -28,17 +28,8 @@ import (
 	"redpatch/internal/redundancy"
 )
 
-// TierSpec is the wire form of one redundancy group of a fleet system.
-// It mirrors paperdata.TierSpec with JSON tags (paperdata stays free of
-// serialization concerns).
-type TierSpec struct {
-	// Role is the logical tier ("dns", "web", "app", "db").
-	Role string `json:"role"`
-	// Replicas is the server count of the group.
-	Replicas int `json:"replicas"`
-	// Variant optionally swaps the group's software stack.
-	Variant string `json:"variant,omitempty"`
-}
+// TierSpec is one redundancy group of a fleet system's design.
+type TierSpec = paperdata.TierSpec
 
 // System is one modeled system of the fleet.
 type System struct {
@@ -107,15 +98,9 @@ func (s System) Validate() error {
 	return s.attempt().Validate()
 }
 
-// Spec converts the system's tiers into the engine's design vocabulary.
+// Spec returns the system's design, named by its ID.
 func (s System) Spec() paperdata.DesignSpec {
-	spec := paperdata.DesignSpec{Name: s.ID}
-	for _, t := range s.Tiers {
-		spec.Tiers = append(spec.Tiers, paperdata.TierSpec{
-			Role: t.Role, Replicas: t.Replicas, Variant: t.Variant,
-		})
-	}
-	return spec
+	return paperdata.DesignSpec{Name: s.ID, Tiers: s.Tiers}
 }
 
 // priority returns the effective scheduling weight.

@@ -14,11 +14,12 @@ import (
 // tier) with its own vulnerability set and patch plan; empty means the
 // role's own stack. Several TierSpecs may share a Role — they then form
 // one heterogeneous logical tier (the paper's §V variant deployment),
-// available while any server across the groups is up.
+// available while any server across the groups is up. The JSON tags are
+// the wire shape of every API that carries a design.
 type TierSpec struct {
-	Role     string
-	Replicas int
-	Variant  string
+	Role     string `json:"role"`
+	Replicas int    `json:"replicas"`
+	Variant  string `json:"variant,omitempty"`
 }
 
 // Stack returns the software-stack role the group's servers run: the
@@ -42,10 +43,11 @@ func (t TierSpec) label() string {
 // DesignSpec is a role-keyed redundancy design: an ordered list of tier
 // groups. It generalizes the paper's fixed (DNS, Web, App, DB) tuple to
 // arbitrary tier chains and heterogeneous variants; Design.Spec converts
-// the classic tuple into the canonical four-tier spec.
+// the classic tuple into the canonical four-tier spec. The redpatch
+// facade evaluates a spec with an empty Name under its CanonicalName.
 type DesignSpec struct {
-	Name  string
-	Tiers []TierSpec
+	Name  string     `json:"name,omitempty"`
+	Tiers []TierSpec `json:"tiers"`
 }
 
 // Spec converts the classic 4-int design into its role-keyed equivalent.
@@ -104,6 +106,9 @@ func (s DesignSpec) Total() int {
 // Key is the canonical cache identity of the spec: tier order, roles,
 // variants and replica counts — everything that changes the models — and
 // deliberately not the name, so renaming a design never misses the cache.
+// Sharded sweeps (internal/cluster) partition design spaces by a hash of
+// this key (ShardIndex), so two processes always agree on which shard
+// owns a design.
 func (s DesignSpec) Key() string {
 	parts := make([]string, len(s.Tiers))
 	for i, t := range s.Tiers {

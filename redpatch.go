@@ -71,59 +71,32 @@ func summarize(m harm.Metrics) SecuritySummary {
 }
 
 // TierSpec is one redundancy group of a role-keyed design: Replicas
-// servers serving the logical tier Role. Variant, when non-empty,
-// selects an alternate software stack (e.g. "webalt" — Nginx on Ubuntu —
-// for a "web" tier) with its own vulnerability set and patch plan.
-// Several TierSpecs may share a Role: they then form one heterogeneous
-// logical tier, available while any of its servers is up.
-type TierSpec struct {
-	Role     string `json:"role"`
-	Replicas int    `json:"replicas"`
-	Variant  string `json:"variant,omitempty"`
-}
+// servers serving the logical tier Role, optionally on an alternate
+// software stack Variant (e.g. "webalt" — Nginx on Ubuntu — for a "web"
+// tier). It is paperdata.TierSpec, wire tags included.
+type TierSpec = paperdata.TierSpec
 
 // DesignSpec is a role-keyed redundancy design: an ordered list of tier
-// groups forming the network's logical chain. It generalizes the paper's
-// fixed (DNS, Web, App, DB) tuple to arbitrary tier sequences and
-// heterogeneous variants. An empty Name gets the canonical compact name.
-type DesignSpec struct {
-	Name  string     `json:"name,omitempty"`
-	Tiers []TierSpec `json:"tiers"`
-}
-
-// pd converts to the internal representation.
-func (s DesignSpec) pd() paperdata.DesignSpec {
-	out := paperdata.DesignSpec{Name: s.Name, Tiers: make([]paperdata.TierSpec, len(s.Tiers))}
-	for i, t := range s.Tiers {
-		out.Tiers[i] = paperdata.TierSpec{Role: t.Role, Replicas: t.Replicas, Variant: t.Variant}
-	}
-	return out
-}
-
-func specFromPD(s paperdata.DesignSpec) DesignSpec {
-	out := DesignSpec{Name: s.Name, Tiers: make([]TierSpec, len(s.Tiers))}
-	for i, t := range s.Tiers {
-		out.Tiers[i] = TierSpec{Role: t.Role, Replicas: t.Replicas, Variant: t.Variant}
-	}
-	return out
-}
+// groups forming the network's logical chain. It is
+// paperdata.DesignSpec, so Validate, Key (the name-free cache and shard
+// identity) and String come with it. An empty Name gets the canonical
+// compact name.
+type DesignSpec = paperdata.DesignSpec
 
 // ClassicSpec builds the paper's four-tier homogeneous spec from the
 // classic replica tuple — the shape every deprecated 4-int method
 // evaluates.
 func ClassicSpec(name string, dns, web, app, db int) DesignSpec {
-	return specFromPD(paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec())
+	return paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec()
 }
 
-// Validate checks the spec without evaluating it.
-func (s DesignSpec) Validate() error { return s.pd().Validate() }
-
-// Key is the canonical cache identity of the spec: tier order, roles,
-// variants and replica counts — everything that changes the models —
-// and deliberately not the name. Sharded sweeps (internal/cluster)
-// partition design spaces by a hash of this key, so two processes
-// always agree on which shard owns a design.
-func (s DesignSpec) Key() string { return s.pd().Key() }
+// named returns spec under its canonical name when it has none.
+func named(spec DesignSpec) DesignSpec {
+	if spec.Name == "" {
+		spec.Name = spec.CanonicalName()
+	}
+	return spec
+}
 
 // DesignReport is the combined evaluation of one redundancy design.
 type DesignReport struct {
@@ -310,11 +283,7 @@ func (s *CaseStudy) EvaluateSpec(spec DesignSpec) (DesignReport, error) {
 // never cancels a solve in flight; results stay shared across
 // deduplicated callers.
 func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (DesignReport, error) {
-	p := spec.pd()
-	if spec.Name == "" {
-		p.Name = p.CanonicalName()
-	}
-	r, err := s.eng.EvaluateSpecCtx(ctx, p)
+	r, err := s.eng.EvaluateSpecCtx(ctx, named(spec))
 	if err != nil {
 		return DesignReport{}, err
 	}
@@ -382,7 +351,7 @@ func convert(r redundancy.Result) DesignReport {
 	return DesignReport{
 		Name:                r.Spec.Name,
 		Description:         r.Spec.String(),
-		Spec:                specFromPD(r.Spec),
+		Spec:                r.Spec,
 		Servers:             r.Spec.Total(),
 		Before:              summarize(r.Before),
 		After:               summarize(r.After),
@@ -511,7 +480,7 @@ type PatchPriority struct {
 // study's configured policy: a PatchAll study ranks every vulnerability,
 // a threshold study only its critical set.
 func (s *CaseStudy) RankPatchesSpec(spec DesignSpec) ([]PatchPriority, error) {
-	candidates, err := s.eval.RankPatches(spec.pd())
+	candidates, err := s.eval.RankPatches(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -608,7 +577,7 @@ func (s *CaseStudy) PlanCampaign(role string, window time.Duration) (CampaignPla
 // start until some logical tier of the design first loses all servers to
 // patching.
 func (s *CaseStudy) MeanTimeToServiceOutageSpec(spec DesignSpec) (float64, error) {
-	nm, err := s.eval.NetworkModelFor(spec.pd())
+	nm, err := s.eval.NetworkModelFor(spec)
 	if err != nil {
 		return 0, err
 	}
@@ -855,59 +824,12 @@ func (s *CaseStudy) SweepEach(ctx context.Context, req SweepRequest, fn func(Des
 	return s.SweepSpecEach(ctx, req.Spec(), fn)
 }
 
-// EngineStats reports the evaluation engine's cache behaviour: Solves is
-// the number of full model evaluations performed, Hits the number of
-// requests served from the memo cache (including requests that joined an
-// in-flight solve of the same design). The solver counters break the
-// model work down by dispatch path: FactoredSolves counts network
-// availability models answered by the per-tier factored solver, SRNSolves
-// those that generated and eliminated the full SRN, and
-// TierSolves/TierFactorHits the per-(stack, replicas) birth–death memo
-// misses and hits behind the factored path. On the security axis,
-// SecurityFactored counts spec evaluations served by the quotient
-// (replica-symmetric) HARM evaluator, SecuritySolves the factored
-// security models built (one per variant structure), and
-// SecurityFactorHits the evaluations served from the security memo.
-// The rollout counters cover mixed-version evaluation: RolloutSolves
-// rollout points evaluated by the engine, RolloutHits points served
-// from (or deduplicated onto) the rollout memo, RolloutModels
-// mixed-version security models built (one per rollout structure), and
-// RolloutModelHits evaluations served from that memo.
-type EngineStats struct {
-	Solves             uint64
-	Hits               uint64
-	FactoredSolves     uint64
-	SRNSolves          uint64
-	TierSolves         uint64
-	TierFactorHits     uint64
-	SecurityFactored   uint64
-	SecuritySolves     uint64
-	SecurityFactorHits uint64
-	RolloutSolves      uint64
-	RolloutHits        uint64
-	RolloutModels      uint64
-	RolloutModelHits   uint64
-}
+// EngineStats is the engine's cache and solver-dispatch counters;
+// engine.Stats documents each one.
+type EngineStats = engine.Stats
 
 // EngineStats returns a snapshot of the case study's cache counters.
-func (s *CaseStudy) EngineStats() EngineStats {
-	st := s.eng.Stats()
-	return EngineStats{
-		Solves:             st.Solves,
-		Hits:               st.Hits,
-		FactoredSolves:     st.FactoredSolves,
-		SRNSolves:          st.SRNSolves,
-		TierSolves:         st.TierSolves,
-		TierFactorHits:     st.TierFactorHits,
-		SecurityFactored:   st.SecurityFactored,
-		SecuritySolves:     st.SecuritySolves,
-		SecurityFactorHits: st.SecurityFactorHits,
-		RolloutSolves:      st.RolloutSolves,
-		RolloutHits:        st.RolloutHits,
-		RolloutModels:      st.RolloutModels,
-		RolloutModelHits:   st.RolloutModelHits,
-	}
-}
+func (s *CaseStudy) EngineStats() EngineStats { return s.eng.Stats() }
 
 // CacheEntries reports the number of completed designs in the engine's
 // memo cache (in-flight solves excluded).
@@ -920,13 +842,7 @@ func (s *CaseStudy) CacheEntries() int { return s.eng.Len() }
 // map lookup. Best-effort — a concurrent eviction of an erred entry or
 // a racing solve may change the answer by the time the evaluation
 // runs, which costs at most one un-admitted solve.
-func (s *CaseStudy) CachePeek(spec DesignSpec) bool {
-	p := spec.pd()
-	if spec.Name == "" {
-		p.Name = p.CanonicalName()
-	}
-	return s.eng.Peek(p)
-}
+func (s *CaseStudy) CachePeek(spec DesignSpec) bool { return s.eng.Peek(spec) }
 
 // SnapshotCache writes the engine's memo cache to w as versioned JSON,
 // fingerprinted by the vulnerability dataset, patch policy and schedule
