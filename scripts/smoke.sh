@@ -46,6 +46,19 @@ wait_ready() {
   return 1
 }
 
+# wait_solving polls a daemon's /metrics every 50ms until its engine
+# has started at least one solve, for at most 10s.
+wait_solving() {
+  for _ in $(seq 1 200); do
+    curl -s "$1/metrics" \
+      | grep -E 'redpatchd_engine_solves_total\{scenario="default"\} [1-9]' >/dev/null \
+      && return 0
+    sleep 0.05
+  done
+  echo "daemon on $1 never started solving" >&2
+  return 1
+}
+
 "$BIN" -addr "$ADDR" -cache-dir "$CACHE" &
 PID=$!
 wait_healthz
@@ -137,7 +150,10 @@ wait_ready "$ADDR"
 
 curl -sf -X POST "$ADDR/api/v2/sweep/stream" -d "$SWEEP" >cluster_sweep.out &
 CURL=$!
-sleep 1
+# Kill worker 1 mid-shard, not after a guessed delay: once its engine
+# has started a solve (each takes 50ms there), a shard is in flight on
+# it, so losing it must force a retry or a local fallback.
+wait_solving "$W1"
 kill -KILL "$WPID1"
 wait "$WPID1" || true
 wait "$CURL"
