@@ -136,7 +136,7 @@ func (s *server) streamClusterSweep(w http.ResponseWriter, r *http.Request, sc *
 	// designs in completed shards, and the cache-hit ratio covers only
 	// this process's engine (shards running remotely hit the workers'
 	// caches, which /metrics on each worker reports).
-	progress := s.progress(out, sc, designCounters)
+	progress := s.progress(out.line, sc, designCounters)
 	total, kept, err := s.coord.Sweep(r.Context(), job, shards, emit,
 		func(done int) { progress(done, space) })
 	if err != nil {

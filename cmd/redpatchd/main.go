@@ -112,6 +112,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -686,7 +687,9 @@ func decodeJSON(r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if dec.More() {
+	// Only whitespace may follow the object. More() alone would pass a
+	// stray closing ']' or '}', so demand end of input outright.
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("decoding request: trailing data after JSON object")
 	}
 	return nil

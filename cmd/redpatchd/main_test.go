@@ -113,16 +113,21 @@ func TestEvaluateRejectsBadRequests(t *testing.T) {
 		"malformed json":   {http.MethodPost, "/api/v1/evaluate", `{"dns":`, http.StatusBadRequest},
 		"unknown field":    {http.MethodPost, "/api/v1/evaluate", `{"dnss":1}`, http.StatusBadRequest},
 		"trailing garbage": {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}{}`, http.StatusBadRequest},
-		"zero replicas":    {http.MethodPost, "/api/v1/evaluate", `{"dns":0,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
-		"wrong type":       {http.MethodPost, "/api/v1/evaluate", `{"dns":"one"}`, http.StatusBadRequest},
-		"huge evaluate":    {http.MethodPost, "/api/v1/evaluate", `{"dns":1000000,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
-		"huge sweep tier":  {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":4000,"max":4000}}`, http.StatusBadRequest},
-		"huge min only":    {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":100,"max":0}}`, http.StatusBadRequest},
-		"GET evaluate":     {http.MethodGet, "/api/v1/evaluate", ``, http.StatusMethodNotAllowed},
-		"POST healthz":     {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
-		"sweep bad json":   {http.MethodPost, "/api/v1/sweep", `[1,2]`, http.StatusBadRequest},
-		"sweep inverted":   {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":3,"max":1}}`, http.StatusBadRequest},
-		"sweep above cap":  {http.MethodPost, "/api/v1/sweep", `{"maxPerTier":9}`, http.StatusBadRequest},
+		"trailing bracket": {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}]`, http.StatusBadRequest},
+		"trailing brace":   {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}}`, http.StatusBadRequest},
+		"v2 trailing bracket": {http.MethodPost, "/api/v2/evaluate",
+			`{"spec":{"tiers":[{"role":"dns","replicas":1}]}}]`, http.StatusBadRequest},
+		"trailing whitespace": {http.MethodPost, "/api/v1/evaluate", "{\"dns\":1,\"web\":1,\"app\":1,\"db\":1} \n\t", http.StatusOK},
+		"zero replicas":       {http.MethodPost, "/api/v1/evaluate", `{"dns":0,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
+		"wrong type":          {http.MethodPost, "/api/v1/evaluate", `{"dns":"one"}`, http.StatusBadRequest},
+		"huge evaluate":       {http.MethodPost, "/api/v1/evaluate", `{"dns":1000000,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
+		"huge sweep tier":     {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":4000,"max":4000}}`, http.StatusBadRequest},
+		"huge min only":       {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":100,"max":0}}`, http.StatusBadRequest},
+		"GET evaluate":        {http.MethodGet, "/api/v1/evaluate", ``, http.StatusMethodNotAllowed},
+		"POST healthz":        {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
+		"sweep bad json":      {http.MethodPost, "/api/v1/sweep", `[1,2]`, http.StatusBadRequest},
+		"sweep inverted":      {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":3,"max":1}}`, http.StatusBadRequest},
+		"sweep above cap":     {http.MethodPost, "/api/v1/sweep", `{"maxPerTier":9}`, http.StatusBadRequest},
 		"sweep overflow": {http.MethodPost, "/api/v1/sweep",
 			`{"dns":{"min":1,"max":65536},"web":{"min":1,"max":65536},"app":{"min":1,"max":65536},"db":{"min":1,"max":65536}}`,
 			http.StatusBadRequest},

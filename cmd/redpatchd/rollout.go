@@ -73,7 +73,7 @@ func (s *server) handleRolloutSweep(w http.ResponseWriter, r *http.Request) {
 	total, err := sc.study.RolloutSweepEach(r.Context(), req.Spec, req.Schedule, func(rep redpatch.RolloutReport) error {
 		front.Add(rep)
 		return out.line(rep)
-	}, s.progress(out, sc, rolloutCounters))
+	}, s.progress(out.line, sc, rolloutCounters))
 	if err != nil {
 		_ = out.line(streamErrorTrailer(err))
 		return

@@ -1,8 +1,11 @@
 package main
 
 // The NDJSON stream plumbing the sweep, cluster, rollout and fleet
-// simulation streams share: compact one-object-per-line framing flushed
-// line by line, and the periodic {"progress":true,...} event.
+// simulation streams share: compact one-object-per-line framing, and the
+// periodic {"progress":true,...} event. The rollout, fleet-simulation
+// and cluster streams flush line by line; the local sweep stream writes
+// its lines unflushed and flushes only when the engine is about to wait
+// on a solve, and with its trailer.
 
 import (
 	"encoding/json"
@@ -12,9 +15,8 @@ import (
 	"redpatch"
 )
 
-// ndjsonStream writes one JSON object per line, flushing after each. A
-// stream's callbacks run on one collector goroutine, so it needs no
-// locking.
+// ndjsonStream writes one JSON object per line. A stream's callbacks
+// run on one collector goroutine, so it needs no locking.
 type ndjsonStream struct {
 	enc *json.Encoder
 	rc  *http.ResponseController
@@ -27,23 +29,31 @@ func newNDJSONStream(w http.ResponseWriter) *ndjsonStream {
 	return &ndjsonStream{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
 }
 
-// line encodes v as one compact line and flushes it to the client (a
-// writer that cannot flush just buffers).
+// write encodes v as one compact line into the response buffer, which
+// goes out when it fills or at the next flush.
+func (s *ndjsonStream) write(v any) error { return s.enc.Encode(v) }
+
+// flush sends the buffered lines to the client (a writer that cannot
+// flush just buffers).
+func (s *ndjsonStream) flush() { _ = s.rc.Flush() }
+
+// line writes v and flushes it.
 func (s *ndjsonStream) line(v any) error {
-	if err := s.enc.Encode(v); err != nil {
+	if err := s.write(v); err != nil {
 		return err
 	}
-	_ = s.rc.Flush()
+	s.flush()
 	return nil
 }
 
 // progress returns the stream's progress callback: at most one
 // {"progress":true,...} event per progressEvery, none before the first
 // or after the last item, carrying done/total, the cache-hit ratio and
-// an ETA. The ratio is computed from the counter delta since the stream
-// began — counters picks the hit and solve counters the stream's cache
-// feeds — so it describes this stream, not the lifetime totals.
-func (s *server) progress(out *ndjsonStream, sc *scenario, counters func(redpatch.EngineStats) (hits, solves uint64)) func(done, total int) {
+// an ETA, handed to send (the stream's write or line). The ratio is
+// computed from the counter delta since the stream began — counters
+// picks the hit and solve counters the stream's cache feeds — so it
+// describes this stream, not the lifetime totals.
+func (s *server) progress(send func(any) error, sc *scenario, counters func(redpatch.EngineStats) (hits, solves uint64)) func(done, total int) {
 	hits0, solves0 := counters(sc.study.EngineStats())
 	start := time.Now()
 	lastProgress := start
@@ -60,7 +70,7 @@ func (s *server) progress(out *ndjsonStream, sc *scenario, counters func(redpatc
 		}
 		elapsed := time.Since(start)
 		eta := elapsed.Seconds() / float64(done) * float64(total-done)
-		_ = out.line(map[string]any{
+		_ = send(map[string]any{
 			"progress":      true,
 			"done":          done,
 			"total":         total,

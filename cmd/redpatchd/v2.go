@@ -474,10 +474,11 @@ func sweepTrailer(scenario string, total, kept int, front *redpatch.DesignFront)
 }
 
 // handleSweepStream streams sweep results as NDJSON: one report object
-// per line in completion order, flushed as each design finishes,
-// periodic {"progress":true,...} events with done/total counts, the
-// cache-hit ratio and an ETA (at most one per progressEvery), then a
-// {"done":true,...} trailer carrying the Pareto front. Client
+// per line in completion order (memo hits first), periodic
+// {"progress":true,...} events with done/total counts, the cache-hit
+// ratio and an ETA (at most one per progressEvery), then a
+// {"done":true,...} trailer carrying the Pareto front. Lines are flushed
+// whenever the server would wait on a solve, and at the end. Client
 // disconnects cancel the sweep through the request context. Errors
 // after the first byte cannot change the status code; they surface as
 // an {"error":...,"reason":...} trailer line instead (reason
@@ -519,6 +520,11 @@ func (s *server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 // streamLocalSweep runs the sweep on this process's own engine — the
 // only path in a plain single-process daemon, and the worker/fallback
 // path in a cluster. The trailer's front is all it keeps of the reports.
+// Report and progress lines are written unflushed; the engine flushes
+// them just before it waits on a solve, and the trailer flushes the
+// rest. A cold sweep therefore still shows each result as soon as the
+// server would otherwise sit on it, while a warm one (answered from the
+// memo without waiting) goes out in full buffers.
 func (s *server) streamLocalSweep(w http.ResponseWriter, r *http.Request, sc *scenario, req redpatch.SpecSweepRequest) {
 	out := newNDJSONStream(w)
 	front := redpatch.NewDesignFront()
@@ -526,8 +532,8 @@ func (s *server) streamLocalSweep(w http.ResponseWriter, r *http.Request, sc *sc
 	total, err := sc.study.SweepSpecEachProgress(r.Context(), req, func(rep redpatch.DesignReport) error {
 		kept++
 		front.Add(rep)
-		return out.line(rep)
-	}, s.progress(out, sc, designCounters))
+		return out.write(rep)
+	}, s.progress(out.write, sc, designCounters), out.flush)
 	if err != nil {
 		_ = out.line(streamErrorTrailer(err))
 		return

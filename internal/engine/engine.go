@@ -304,18 +304,27 @@ func (g *Engine) Peek(spec paperdata.DesignSpec) bool {
 	if spec.Validate() != nil {
 		return false
 	}
+	_, ok := g.completed(spec)
+	return ok
+}
+
+// completed returns spec's memo entry when it holds a finished,
+// successful solve — the one lookup behind Peek and a sweep's inline
+// hits. It neither counts a hit nor waits: in-flight and erred entries
+// read as absent. spec must be valid.
+func (g *Engine) completed(spec paperdata.DesignSpec) (*entry, bool) {
 	k := key{fp: g.fp, spec: spec.Key()}
 	g.mu.Lock()
 	e, ok := g.cache[k]
 	g.mu.Unlock()
 	if !ok {
-		return false
+		return nil, false
 	}
 	select {
 	case <-e.ready:
-		return e.err == nil
+		return e, e.err == nil
 	default:
-		return false
+		return nil, false
 	}
 }
 

@@ -177,7 +177,7 @@ func (g *Engine) RolloutSweep(ctx context.Context, spec paperdata.DesignSpec, po
 				return false
 			}
 			return true
-		})
+		}, nil)
 	if firstErr != nil {
 		return firstErr
 	}

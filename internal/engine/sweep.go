@@ -238,7 +238,7 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error)
 	total, err := g.sweep(ctx, spec, func(idx int, r redundancy.Result) error {
 		ks = append(ks, kept{idx, r})
 		return nil
-	}, nil)
+	}, nil, nil)
 	if err != nil {
 		return SweepResult{}, err
 	}
@@ -256,26 +256,33 @@ func (g *Engine) Sweep(ctx context.Context, spec SweepSpec) (SweepResult, error)
 // single collector goroutine, so it needs no locking; returning an error
 // cancels the sweep. The total number of enumerated designs is returned.
 func (g *Engine) SweepFunc(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error) (int, error) {
-	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, nil)
+	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, nil, nil)
 }
 
-// SweepFuncProgress is SweepFunc plus a progress callback: progress runs
-// on the collector goroutine after every completed evaluation — kept or
-// bound-filtered — with the number of designs done so far and the total.
-// Streaming surfaces (redpatchd's NDJSON sweep) derive their periodic
-// progress events from it. A nil progress makes this exactly SweepFunc.
-func (g *Engine) SweepFuncProgress(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error, progress func(done, total int)) (int, error) {
-	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, progress)
+// SweepFuncProgress is SweepFunc plus two collector callbacks. progress
+// runs after every completed evaluation — kept or bound-filtered — with
+// the number of designs done so far and the total; idle runs just
+// before the collector blocks waiting on a pool worker (never between
+// results that are ready). Streaming surfaces (redpatchd's NDJSON sweep)
+// derive their periodic progress events from progress and flush their
+// buffered output in idle. Either may be nil; with both nil this is
+// exactly SweepFunc.
+func (g *Engine) SweepFuncProgress(ctx context.Context, spec SweepSpec, fn func(redundancy.Result) error, progress func(done, total int), idle func()) (int, error) {
+	return g.sweep(ctx, spec, func(_ int, r redundancy.Result) error { return fn(r) }, progress, idle)
 }
 
-// sweep is the shared fan-out/collect loop: pool workers evaluate
-// designs through the cache (workpool.Stream), the collector applies
-// bound filtering and hands passing results (with their enumeration
-// index) to emit. The whole sweep runs under an "engine.sweep" span;
-// each design's evaluate span carries its queue wait — the time from
-// sweep start until a pool worker picked the design up, the backlog
-// signal admission control will shed against.
-func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redundancy.Result) error, progress func(done, total int)) (total int, err error) {
+// sweep is the shared collect loop. Designs whose memo entry is already
+// completed are answered first, inline on the collector goroutine —
+// a warm design costs a map lookup, with no pool hop and no per-design
+// span. The rest go to the worker pool (workpool.StreamCtx), which
+// evaluates them through the cache. Either way the collector counts the
+// design done, applies the bound filters and hands passing results
+// (with their enumeration index) to emit. The whole sweep runs under an
+// "engine.sweep" span carrying the inline hit count; each pool-evaluated
+// design's evaluate span carries its queue wait — the time from pool
+// dispatch until a worker picked the design up, the backlog signal
+// admission control will shed against.
+func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redundancy.Result) error, progress func(done, total int), idle func()) (total int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
@@ -283,19 +290,50 @@ func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redun
 	ctx, sp := trace.Start(ctx, "engine.sweep",
 		trace.Attr{Key: "designs", Value: len(designs)})
 	defer func() { sp.EndErr(err) }()
-	start := time.Now()
 	done := 0
+	collect := func(idx int, r redundancy.Result) error {
+		done++
+		if progress != nil {
+			progress(done, len(designs))
+		}
+		if spec.keeps(r) {
+			return emit(idx, r)
+		}
+		return nil
+	}
+
+	var cold []int // enumeration indices of the designs the pool evaluates
+	for i, d := range designs {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		e, ok := g.completed(d)
+		if !ok {
+			cold = append(cold, i)
+			continue
+		}
+		g.hits.Add(1)
+		r := e.res
+		r.Spec = d
+		if err := collect(i, r); err != nil {
+			return 0, err
+		}
+	}
+	sp.SetAttr("inline_hits", len(designs)-len(cold))
+
+	start := time.Now()
 	var firstErr error
 	// StreamCtx drops still-queued designs the moment ctx ends — workers
 	// exit before picking the next item — so a cancelled sweep releases
 	// the pool immediately instead of cycling every queued spec through
 	// fn. The in-fn check below handles the pickup race (a worker that
 	// grabbed its item just before the cancellation landed).
-	workpool.StreamCtx(ctx, g.workers, designs,
-		func(_ int, d paperdata.DesignSpec) (redundancy.Result, error) {
+	workpool.StreamCtx(ctx, g.workers, cold,
+		func(_ int, idx int) (redundancy.Result, error) {
 			if err := ctx.Err(); err != nil {
 				return redundancy.Result{}, err
 			}
+			d := designs[idx]
 			wait := time.Since(start)
 			r, err := g.evaluateSpecTraced(ctx, d,
 				trace.Attr{Key: "design", Value: d.Name},
@@ -305,23 +343,16 @@ func (g *Engine) sweep(ctx context.Context, spec SweepSpec, emit func(int, redun
 			}
 			return r, err
 		},
-		func(idx int, r redundancy.Result, err error) bool {
+		func(pos int, r redundancy.Result, err error) bool {
+			if err == nil {
+				err = collect(cold[pos], r)
+			}
 			if err != nil {
 				firstErr = err
 				return false
 			}
-			done++
-			if progress != nil {
-				progress(done, len(designs))
-			}
-			if spec.keeps(r) {
-				if err := emit(idx, r); err != nil {
-					firstErr = err
-					return false
-				}
-			}
 			return true
-		})
+		}, idle)
 	if firstErr != nil {
 		return 0, firstErr
 	}

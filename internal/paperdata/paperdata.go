@@ -15,6 +15,7 @@ package paperdata
 
 import (
 	"fmt"
+	"strconv"
 
 	"redpatch/internal/attacktree"
 	"redpatch/internal/availability"
@@ -265,7 +266,13 @@ func (d Design) Total() int { return d.DNS + d.Web + d.App + d.DB }
 // ("1d2w2a1b") — the one naming scheme shared by design enumeration and
 // the evaluation service.
 func DefaultName(dns, web, app, db int) string {
-	return fmt.Sprintf("%dd%dw%da%db", dns, web, app, db)
+	var buf [32]byte
+	b := buf[:0]
+	for i, n := range [4]int{dns, web, app, db} {
+		b = strconv.AppendInt(b, int64(n), 10)
+		b = append(b, "dwab"[i])
+	}
+	return string(b)
 }
 
 // String renders the design in the paper's notation.

@@ -3,7 +3,9 @@ package paperdata
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"redpatch/internal/topology"
 )
@@ -33,11 +35,16 @@ func (t TierSpec) Stack() string {
 }
 
 // label renders the tier for names and keys: "role" or "role/variant".
-func (t TierSpec) label() string {
+func (t TierSpec) label() string { return string(t.appendLabel(nil)) }
+
+// appendLabel appends the tier's label to b.
+func (t TierSpec) appendLabel(b []byte) []byte {
+	b = append(b, t.Role...)
 	if s := t.Stack(); s != t.Role {
-		return t.Role + "/" + s
+		b = append(b, '/')
+		b = append(b, s...)
 	}
-	return t.Role
+	return b
 }
 
 // DesignSpec is a role-keyed redundancy design: an ordered list of tier
@@ -110,11 +117,17 @@ func (s DesignSpec) Total() int {
 // this key (ShardIndex), so two processes always agree on which shard
 // owns a design.
 func (s DesignSpec) Key() string {
-	parts := make([]string, len(s.Tiers))
+	var buf [64]byte
+	b := buf[:0]
 	for i, t := range s.Tiers {
-		parts[i] = fmt.Sprintf("%s:%d", t.label(), t.Replicas)
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = t.appendLabel(b)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(t.Replicas), 10)
 	}
-	return strings.Join(parts, ";")
+	return string(b)
 }
 
 // ShardIndex maps a spec cache key (DesignSpec.Key) onto one of count
@@ -137,11 +150,35 @@ func ShardIndex(key string, count int) int {
 // "1 DNS + 2 WEB + 2 APP + 1 DB"; variant groups render as
 // "1 WEB/WEBALT".
 func (s DesignSpec) String() string {
-	parts := make([]string, len(s.Tiers))
+	var buf [64]byte
+	b := buf[:0]
 	for i, t := range s.Tiers {
-		parts[i] = fmt.Sprintf("%d %s", t.Replicas, strings.ToUpper(t.label()))
+		if i > 0 {
+			b = append(b, " + "...)
+		}
+		b = strconv.AppendInt(b, int64(t.Replicas), 10)
+		b = append(b, ' ')
+		b = appendUpperLabel(b, t)
 	}
-	return strings.Join(parts, " + ")
+	return string(b)
+}
+
+// appendUpperLabel appends the tier's label upper-cased exactly as
+// strings.ToUpper would: ASCII in place, anything else through
+// strings.ToUpper itself.
+func appendUpperLabel(b []byte, t TierSpec) []byte {
+	start := len(b)
+	b = t.appendLabel(b)
+	for i := start; i < len(b); i++ {
+		c := b[i]
+		if c >= utf8.RuneSelf {
+			return append(b[:start], strings.ToUpper(string(b[start:]))...)
+		}
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return b
 }
 
 // classic reports whether the spec is exactly the homogeneous
@@ -172,11 +209,16 @@ func (s DesignSpec) CanonicalName() string {
 	if d, ok := s.classic(); ok {
 		return DefaultName(d.DNS, d.Web, d.App, d.DB)
 	}
-	parts := make([]string, len(s.Tiers))
+	var buf [64]byte
+	b := buf[:0]
 	for i, t := range s.Tiers {
-		parts[i] = fmt.Sprintf("%d%s", t.Replicas, t.label())
+		if i > 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(t.Replicas), 10)
+		b = t.appendLabel(b)
 	}
-	return strings.Join(parts, "-")
+	return string(b)
 }
 
 // LogicalTier is one logical service tier of a spec: every group sharing

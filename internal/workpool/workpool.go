@@ -90,7 +90,7 @@ func Map[T, R any](workers int, items []T, fn func(int, T) (R, error)) ([]R, err
 // their outcomes are discarded. Stream returns once every worker has
 // exited. workers <= 0 selects GOMAXPROCS.
 func Stream[T, R any](workers int, items []T, fn func(int, T) (R, error), emit func(idx int, r R, err error) bool) {
-	StreamCtx(context.Background(), workers, items, fn, emit)
+	StreamCtx(context.Background(), workers, items, fn, emit, nil)
 }
 
 // StreamCtx is Stream with a cancellation context: once ctx is done,
@@ -100,7 +100,13 @@ func Stream[T, R any](workers int, items []T, fn func(int, T) (R, error), emit f
 // normally (fn is not interrupted); their outcomes still reach emit.
 // The engine's sweeps run on this so a disconnected sweep releases the
 // pool at once rather than draining its whole backlog through fn.
-func StreamCtx[T, R any](ctx context.Context, workers int, items []T, fn func(int, T) (R, error), emit func(idx int, r R, err error) bool) {
+//
+// idle, when non-nil, runs on the collector goroutine immediately before
+// it blocks waiting for the next outcome — never while outcomes are
+// already queued, and not once emit has stopped the stream. A streaming
+// caller flushes its buffered output there, so everything emitted so
+// far reaches the client before the collector waits on a worker.
+func StreamCtx[T, R any](ctx context.Context, workers int, items []T, fn func(int, T) (R, error), emit func(idx int, r R, err error) bool, idle func()) {
 	n := len(items)
 	if n == 0 {
 		return
@@ -135,7 +141,20 @@ func StreamCtx[T, R any](ctx context.Context, workers int, items []T, fn func(in
 		close(ch)
 	}()
 	stopped := false
-	for o := range ch {
+	for {
+		var o outcome
+		var ok bool
+		select {
+		case o, ok = <-ch:
+		default:
+			if idle != nil && !stopped {
+				idle()
+			}
+			o, ok = <-ch
+		}
+		if !ok {
+			return
+		}
 		if !stopped && !emit(o.idx, o.r, o.err) {
 			stopped = true
 			stop.Store(true)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -176,7 +177,7 @@ func TestStreamCtxDropsQueuedWork(t *testing.T) {
 		calls.Add(1)
 		cancel() // cancel while the first item is in flight
 		return i, nil
-	}, func(int, int, error) bool { return true })
+	}, func(int, int, error) bool { return true }, nil)
 	// Worker 1 picked item 0 before the cancel; everything else was
 	// queued and must have been dropped at the loop top.
 	if n := calls.Load(); n != 1 {
@@ -201,7 +202,7 @@ func TestStreamCtxDeliversInFlightOutcome(t *testing.T) {
 		}
 		delivered = append(delivered, r)
 		return true
-	})
+	}, nil)
 	// Items 0 and 1 ran (1 was in flight when it cancelled); item 2 was
 	// dropped.
 	if len(delivered) != 2 || delivered[0] != 7 || delivered[1] != 8 {
@@ -215,8 +216,68 @@ func TestStreamCtxBackgroundDeliversAll(t *testing.T) {
 	n := 0
 	StreamCtx(context.Background(), 4, []int{1, 2, 3, 4, 5},
 		func(_ int, v int) (int, error) { return v, nil },
-		func(int, int, error) bool { n++; return true })
+		func(int, int, error) bool { n++; return true }, nil)
 	if n != 5 {
 		t.Fatalf("delivered %d outcomes, want 5", n)
+	}
+}
+
+// TestStreamCtxIdleBeforeBlocking: idle runs on the collector after it
+// has emitted every queued outcome and before it waits on a worker. The
+// second item's fn only returns once idle has run with the first
+// outcome already emitted, so a collector that blocked without calling
+// idle would leave fn to time out.
+func TestStreamCtxIdleBeforeBlocking(t *testing.T) {
+	gate := make(chan struct{})
+	emitted, gateEmitted := 0, 0
+	var errs []error
+	StreamCtx(context.Background(), 1, []int{0, 1, 2}, func(i int, v int) (int, error) {
+		if i == 1 {
+			select {
+			case <-gate:
+			case <-time.After(10 * time.Second):
+				return 0, errors.New("collector blocked without calling idle")
+			}
+		}
+		return v, nil
+	}, func(_ int, _ int, err error) bool {
+		if err != nil {
+			errs = append(errs, err)
+		}
+		emitted++
+		return true
+	}, func() {
+		if gateEmitted == 0 && emitted >= 1 {
+			gateEmitted = emitted
+			close(gate)
+		}
+	})
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	if gateEmitted != 1 || emitted != 3 {
+		t.Fatalf("idle released the gate after %d outcomes, %d emitted in all; want 1 and 3", gateEmitted, emitted)
+	}
+}
+
+// TestStreamCtxNoIdleAfterStop: once emit stops the stream, the
+// collector only drains in-flight outcomes and no longer calls idle.
+func TestStreamCtxNoIdleAfterStop(t *testing.T) {
+	stopped, idleAfterStop := false, 0
+	StreamCtx(context.Background(), 1, []int{0, 1, 2}, func(i int, v int) (int, error) {
+		if i > 0 {
+			time.Sleep(5 * time.Millisecond) // the collector waits on this one
+		}
+		return v, nil
+	}, func(int, int, error) bool {
+		stopped = true
+		return false
+	}, func() {
+		if stopped {
+			idleAfterStop++
+		}
+	})
+	if idleAfterStop != 0 {
+		t.Fatalf("idle ran %d times after emit stopped the stream", idleAfterStop)
 	}
 }

@@ -788,18 +788,21 @@ func nonNil(front []DesignReport) []DesignReport {
 // collector goroutine; returning an error cancels the sweep. The total
 // number of enumerated designs is returned.
 func (s *CaseStudy) SweepSpecEach(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error) (int, error) {
-	return s.SweepSpecEachProgress(ctx, req, fn, nil)
+	return s.SweepSpecEachProgress(ctx, req, fn, nil, nil)
 }
 
-// SweepSpecEachProgress is SweepSpecEach plus a progress callback:
-// progress runs on the collector goroutine after every completed
-// evaluation — kept or bound-filtered — with the count of designs done
-// so far and the total. redpatchd's NDJSON sweep stream derives its
-// periodic progress events (done/total, cache-hit ratio, ETA) from it.
-func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error, progress func(done, total int)) (int, error) {
+// SweepSpecEachProgress is SweepSpecEach plus two collector callbacks:
+// progress runs after every completed evaluation — kept or
+// bound-filtered — with the count of designs done so far and the total,
+// and idle runs just before the collector blocks waiting on a solve.
+// Designs already in the memo are reported first, without waiting.
+// redpatchd's NDJSON sweep stream derives its periodic progress events
+// (done/total, cache-hit ratio, ETA) from progress and flushes its
+// buffered lines in idle. Either may be nil.
+func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequest, fn func(DesignReport) error, progress func(done, total int), idle func()) (int, error) {
 	return s.eng.SweepFuncProgress(ctx, req.spec(), func(r redundancy.Result) error {
 		return fn(convert(r))
-	}, progress)
+	}, progress, idle)
 }
 
 // Sweep evaluates a classic design space.
