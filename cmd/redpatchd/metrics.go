@@ -63,7 +63,7 @@ func newServerMetrics() *serverMetrics {
 		// seconds; DefBuckets' 5ms floor would flatten both, so these use
 		// exponential bucket spreads instead.
 		queueWait: reg.NewHistogram("redpatchd_engine_queue_wait_seconds",
-			"Time from sweep start until a pool worker picked the design up, from trace spans.",
+			"Time from pool dispatch until a worker picked the evaluation up, from trace spans; memo hits answered inline are not dispatched.",
 			metrics.ExpBuckets(1e-5, 4, 12)),
 		solverTime: reg.NewHistogramVec("redpatchd_solver_duration_seconds",
 			"Model solve time by solver kind, from trace spans.",

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"redpatch/internal/paperdata"
 	"redpatch/internal/redundancy"
+	"redpatch/internal/trace"
 )
 
 // halfWarm builds an engine over a counting evaluator and warms every
@@ -36,17 +38,26 @@ func halfWarm(t *testing.T) (*Engine, *countingEvaluator, map[string]bool) {
 // TestSweepServesWarmDesignsInline: in a half-warm sweep every design is
 // emitted exactly once with its reference result, the warm half first
 // and before the collector ever waits on the pool; warm designs count as
-// hits and cold ones as solves, and progress reaches the total.
+// hits and cold ones as solves, and progress reaches the total. Only
+// the cold designs open an evaluate span; the sweep span counts the
+// inline hits.
 func TestSweepServesWarmDesignsInline(t *testing.T) {
 	g, ce, warm := halfWarm(t)
 	before := g.Stats()
 	calls := ce.calls.Load()
+	var mu sync.Mutex
+	var spans []trace.SpanData
+	ctx := trace.WithTracer(context.Background(), trace.New(trace.Options{OnEnd: func(d trace.SpanData) {
+		mu.Lock()
+		spans = append(spans, d)
+		mu.Unlock()
+	}}))
 
 	emitted := map[string]int{}
 	var order []string
 	lastDone, lastTotal := 0, 0
 	emittedAtFirstIdle := -1
-	total, err := g.SweepFuncProgress(context.Background(), FullSpace(2), func(r redundancy.Result) error {
+	total, err := g.SweepFuncProgress(ctx, FullSpace(2), func(r redundancy.Result) error {
 		want, err := paperEvaluator(t).EvaluateSpec(r.Spec)
 		if err != nil {
 			return err
@@ -98,6 +109,22 @@ func TestSweepServesWarmDesignsInline(t *testing.T) {
 	}
 	if lastDone != len(designs) || lastTotal != len(designs) {
 		t.Errorf("progress ended at %d/%d, want %d/%d", lastDone, lastTotal, len(designs), len(designs))
+	}
+	evaluates, inline := 0, any(nil)
+	for _, d := range spans {
+		switch d.Name {
+		case "engine.evaluate":
+			evaluates++
+			v, _ := d.Attr("design")
+			if name, _ := v.(string); warm[name] {
+				t.Errorf("warm design %s opened an evaluate span", name)
+			}
+		case "engine.sweep":
+			inline, _ = d.Attr("inline_hits")
+		}
+	}
+	if evaluates != int(cold) || inline != len(warm) {
+		t.Errorf("%d evaluate spans, inline_hits %v; want %d and %d", evaluates, inline, cold, len(warm))
 	}
 }
 
