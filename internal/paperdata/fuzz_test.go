@@ -9,7 +9,7 @@ import (
 )
 
 // The fmt/strings formulas DesignSpec's strings were first written
-// with. The byte-slice builders in spec.go must reproduce them exactly:
+// with. The byte-slice versions in spec.go must reproduce them exactly:
 // keys are cache and shard identities, and names and strings are wire
 // bytes.
 
@@ -97,7 +97,7 @@ func FuzzDesignSpecJSON(f *testing.F) {
 	})
 }
 
-// TestSpecStringsMatchOracle covers the corners the byte builders
+// TestSpecStringsMatchOracle covers the corners the byte-slice versions
 // special-case: no tiers, long tier chains that outgrow the stack
 // buffer, and non-ASCII labels whose upper-casing changes byte length.
 func TestSpecStringsMatchOracle(t *testing.T) {
