@@ -162,3 +162,50 @@ func TestGoldenFleetSystems(t *testing.T) {
 	}
 	checkGolden(t, "golden_fleet_systems.json", w.Body.Bytes())
 }
+
+// goldenFleet is the fixed fleet behind the plan and simulate pins: two
+// campaign roles, three window sizes, mixed priorities, a deadline the
+// schedule cannot hold (edge-b's 35-minute window splits its campaign
+// over several cycles) and two identical systems (tie-1, tie-2) whose
+// equal scores leave the order to the ID tiebreak. Three systems fail
+// some windows, so the seeded simulation rolls back and defers.
+const goldenFleet = `{"systems":[
+	{"id":"tie-2","role":"app","windowMinutes":60,"successProbability":0.5,"rollbackMinutes":10,
+	 "tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},
+	{"id":"tie-1","role":"app","windowMinutes":60,"successProbability":0.5,"rollbackMinutes":10,
+	 "tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},
+	{"id":"edge-b","role":"app","priority":2,"windowMinutes":35,"deadlineHours":720,
+	 "tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":3},{"role":"app","replicas":2},{"role":"db","replicas":1}]},
+	{"id":"web-a","role":"web","priority":1.5,"windowMinutes":120,"deadlineHours":2160,"successProbability":0.3,"rollbackMinutes":20,
+	 "tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":2},{"role":"app","replicas":2},{"role":"db","replicas":1}]},
+	{"id":"web-c","role":"web","priority":1.2,"windowMinutes":35,
+	 "tiers":[{"role":"dns","replicas":2},{"role":"web","replicas":3},{"role":"app","replicas":1},{"role":"db","replicas":2}]},
+	{"id":"core-d","role":"app","priority":1.5,"windowMinutes":120,"deadlineHours":1,
+	 "tiers":[{"role":"dns","replicas":1},{"role":"web","replicas":1},{"role":"app","replicas":3},{"role":"db","replicas":1}]}]}`
+
+// goldenFleetServer is a fresh server with goldenFleet registered.
+func goldenFleetServer(t *testing.T) http.Handler {
+	t.Helper()
+	h := mustServer(t, newStudy(t), serverConfig{}).handler()
+	if w := do(t, h, http.MethodPost, "/api/v2/fleet/register", goldenFleet); w.Code != http.StatusOK {
+		t.Fatalf("register status = %d: %s", w.Code, w.Body)
+	}
+	return h
+}
+
+func TestGoldenFleetPlan(t *testing.T) {
+	w := do(t, goldenFleetServer(t), http.MethodPost, "/api/v2/fleet/plan", `{"maxConcurrent":2}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body)
+	}
+	checkGolden(t, "golden_fleet_plan.json", w.Body.Bytes())
+}
+
+func TestGoldenFleetSimulate(t *testing.T) {
+	w := do(t, goldenFleetServer(t), http.MethodPost, "/api/v2/fleet/simulate",
+		`{"seed":5,"maxConcurrent":2,"maxAttempts":2}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", w.Code, w.Body)
+	}
+	checkGolden(t, "golden_fleet_simulate.ndjson", w.Body.Bytes())
+}
