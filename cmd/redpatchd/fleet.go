@@ -25,8 +25,9 @@ import (
 // each system names a scenario, whose case study answers design
 // evaluations from its own memo cache. With fault injection configured,
 // every resolved engine is wrapped so the chaos suite can fail
-// plan-time evaluations ("fleet.evaluate") and campaign planning
-// ("fleet.plan").
+// plan-time evaluations ("fleet.evaluate", once per system) and
+// campaign planning ("fleet.plan", once per distinct scenario, role and
+// window of a request, since the scheduler plans each campaign once).
 func (s *server) fleetResolver() fleet.Resolver {
 	return func(name string) (fleet.Engine, error) {
 		sc, err := s.reg.get(name)

@@ -65,6 +65,57 @@ func BenchmarkFleetPlan1000(b *testing.B) {
 	}
 }
 
+// mixedFleet builds n systems over the 81 classic shapes (1 to 3
+// replicas per tier), campaigning on all four roles with three window
+// sizes — the 12 distinct campaigns of the end-to-end fleet-plan
+// workload — under mixed priorities and deadlines.
+func mixedFleet(n int) []fleet.System {
+	roles := []string{"dns", "web", "app", "db"}
+	out := make([]fleet.System, n)
+	for i := range out {
+		tiers := make([]fleet.TierSpec, len(roles))
+		for j, shape := 0, i%81; j < len(roles); j, shape = j+1, shape/3 {
+			tiers[j] = fleet.TierSpec{Role: roles[j], Replicas: 1 + shape%3}
+		}
+		out[i] = fleet.System{
+			ID:            fmt.Sprintf("sys-%04d", i),
+			Role:          roles[i%4],
+			Tiers:         tiers,
+			Priority:      []float64{1, 1.2, 1.5, 2}[i%7%4],
+			WindowMinutes: []float64{30, 60, 120}[i/4%3],
+			DeadlineHours: []float64{0, 720, 1440, 2160}[i%5%4],
+		}
+	}
+	return out
+}
+
+// BenchmarkFleetPlanMixed plans a 1000-system fleet shaped like the
+// end-to-end fleet-plan workload: 81 design shapes, 4 campaign roles ×
+// 3 windows, cap 4. Unlike BenchmarkFleetPlan1000 (one role, one
+// window) its systems share 12 campaigns, not one, and the low cap
+// stretches the schedule over hundreds of cycles. The engine is warmed
+// once, so iterations price the all-hits plan path.
+func BenchmarkFleetPlanMixed(b *testing.B) {
+	s, _ := caseStudy(b)
+	resolve := func(string) (fleet.Engine, error) { return s.FleetEngine(), nil }
+	systems := mixedFleet(1000)
+	ctx := context.Background()
+	opts := fleet.PlanOptions{MaxConcurrent: 4}
+	plan, err := fleet.PlanFleet(ctx, systems, resolve, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(plan.Systems) != 1000 || plan.Cycles < 250 {
+		b.Fatalf("warm plan: %d systems, %d cycles", len(plan.Systems), plan.Cycles)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fleet.PlanFleet(ctx, systems, resolve, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFleetSimulate prices the try-revert execution of a planned
 // fleet campaign (100 systems, 90% window success): rollback draws,
 // residual-ASP maintenance and event emission, no model solves.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
+	"time"
 
 	"redpatch/internal/patch"
 	"redpatch/internal/trace"
@@ -143,32 +145,68 @@ func cveIDs(vulns []vulndb.Vulnerability) []string {
 	return out
 }
 
-// planSystem evaluates one system and plans its campaign.
-func planSystem(ctx context.Context, s System, eng Engine) (SystemPlan, error) {
+// campaignKey names one distinct campaign of a plan request: the
+// scenario whose planner runs it, the campaign role and the window
+// budget the planner receives.
+type campaignKey struct {
+	scenario string
+	role     string
+	window   time.Duration
+}
+
+// campaignPlan is one distinct campaign of a plan request, planned on
+// first use. Its ID projections and residual trajectory depend on the
+// campaign alone, so every system planning it shares them read-only.
+type campaignPlan struct {
+	once     sync.Once
+	err      error
+	camp     patch.Campaign
+	deferred []string   // cveIDs(camp.Deferred)
+	rounds   [][]string // cveIDs of each round's selection
+	residual []float64  // residualTrajectory(camp)
+}
+
+// plan runs the campaign planner once, however many systems of the
+// request share the campaign and however concurrently they ask.
+func (cp *campaignPlan) plan(eng Engine, role string, window time.Duration) error {
+	cp.once.Do(func() {
+		cp.camp, cp.err = eng.PlanCampaign(role, window)
+		if cp.err != nil {
+			return
+		}
+		cp.deferred = cveIDs(cp.camp.Deferred)
+		cp.rounds = make([][]string, len(cp.camp.Rounds))
+		for i, r := range cp.camp.Rounds {
+			cp.rounds[i] = cveIDs(r.Selected)
+		}
+		cp.residual = residualTrajectory(cp.camp)
+	})
+	return cp.err
+}
+
+// planSystem evaluates one system and prices its campaign, planning the
+// campaign itself only if no other system of the request did first.
+func planSystem(ctx context.Context, s System, eng Engine, cp *campaignPlan) (SystemPlan, error) {
 	res, err := eng.EvaluateSpecCtx(ctx, s.Spec())
 	if err != nil {
 		return SystemPlan{}, fmt.Errorf("fleet: %s: %w", s.ID, err)
 	}
-	camp, err := eng.PlanCampaign(s.Role, s.window())
-	if err != nil {
+	if err := cp.plan(eng, s.Role, s.window()); err != nil {
 		return SystemPlan{}, fmt.Errorf("fleet: %s: %w", s.ID, err)
 	}
 	sp := SystemPlan{
 		System:      s,
-		Deferred:    cveIDs(camp.Deferred),
+		Deferred:    cp.deferred,
 		RiskBefore:  res.Before.ASP,
 		RiskAfter:   res.After.ASP,
-		ResidualASP: residualTrajectory(camp),
-		campaign:    camp,
-	}
-	if sp.Deferred == nil {
-		sp.Deferred = []string{}
+		ResidualASP: cp.residual,
+		campaign:    cp.camp,
 	}
 	att := s.attempt()
 	var downtimeHours float64
-	for _, r := range camp.Rounds {
+	for i, r := range cp.camp.Rounds {
 		sp.Rounds = append(sp.Rounds, Round{
-			CVEs:                    cveIDs(r.Selected),
+			CVEs:                    cp.rounds[i],
 			DowntimeMinutes:         r.TotalDowntime().Minutes(),
 			ExpectedDowntimeMinutes: r.ExpectedDowntime(att).Minutes(),
 		})
@@ -191,36 +229,47 @@ type schedState struct {
 	next int // index of the next pending round
 }
 
-// pickCycle selects up to max systems with pending rounds, highest score
-// first (ties broken by ID for determinism). Both the planner and the
-// simulator schedule through this helper, so with the rollback branch
-// dormant the simulator reproduces the planner's schedule exactly.
-func pickCycle(states []*schedState, max int, pending func(*schedState) bool) []*schedState {
-	eligible := make([]*schedState, 0, len(states))
-	for _, st := range states {
-		if pending(st) {
-			eligible = append(eligible, st)
-		}
-	}
-	sort.SliceStable(eligible, func(i, j int) bool {
-		si, sj := eligible[i].plan.Score, eligible[j].plan.Score
+// pending reports whether the system still has a round to schedule.
+func (st *schedState) pending() bool { return st.next < len(st.plan.Rounds) }
+
+// rankStates orders the states once per plan or simulation: highest
+// score first, ties broken by ID for determinism. A system's score never
+// changes while it is scheduled, so this order holds for every cycle.
+// The sort is stable, so states that tie on both keys keep their input
+// order.
+func rankStates(states []*schedState) {
+	sort.SliceStable(states, func(i, j int) bool {
+		si, sj := states[i].plan.Score, states[j].plan.Score
 		if si != sj {
 			return si > sj
 		}
-		return eligible[i].plan.System.ID < eligible[j].plan.System.ID
+		return states[i].plan.System.ID < states[j].plan.System.ID
 	})
-	if len(eligible) > max {
-		eligible = eligible[:max]
+}
+
+// pickCycle appends to dst up to max pending states, taken in the order
+// rankStates gave states: the cycle's highest-scoring systems with
+// rounds left. Both the planner and the simulator schedule through this
+// helper, so with the rollback branch dormant the simulator reproduces
+// the planner's schedule exactly.
+func pickCycle(dst, states []*schedState, max int) []*schedState {
+	for _, st := range states {
+		if len(dst) == max {
+			break
+		}
+		if st.pending() {
+			dst = append(dst, st)
+		}
 	}
-	return eligible
+	return dst
 }
 
 // PlanFleet evaluates every system concurrently on its scenario's
-// engine, plans each system's campaign, and schedules the fleet's
-// maintenance windows: cycle by cycle, the highest
-// risk-reduction-per-downtime systems (weighted by priority) take the
-// MaxConcurrent slots, one window per system per cycle, until every
-// round is placed. The whole call runs under a "fleet.plan" span.
+// engine, plans each distinct (scenario, role, window) campaign once,
+// and schedules the fleet's maintenance windows: cycle by cycle, the
+// highest risk-reduction-per-downtime systems (weighted by priority)
+// take the MaxConcurrent slots, one window per system per cycle, until
+// every round is placed. The whole call runs under a "fleet.plan" span.
 func PlanFleet(ctx context.Context, systems []System, resolve Resolver, opts PlanOptions) (Plan, error) {
 	opts = opts.withDefaults()
 	ctx, span := trace.Start(ctx, "fleet.plan",
@@ -237,6 +286,9 @@ func PlanFleet(ctx context.Context, systems []System, resolve Resolver, opts Pla
 	return plan, nil
 }
 
+// planFleet is PlanFleet without the span. Engine.PlanCampaign runs once
+// per distinct (scenario, role, window) of the call, however many
+// systems share it; nothing is kept for the next call.
 func planFleet(ctx context.Context, systems []System, resolve Resolver, opts PlanOptions) (Plan, error) {
 	if len(systems) == 0 {
 		return Plan{}, fmt.Errorf("fleet: no systems to plan")
@@ -252,44 +304,63 @@ func planFleet(ctx context.Context, systems []System, resolve Resolver, opts Pla
 		seen[s.ID] = true
 	}
 
-	// Resolve every distinct scenario once, before the fan-out.
+	// Resolve every distinct scenario once, and give every distinct
+	// campaign one slot, before the fan-out. The campaign memo lives for
+	// this call only: windows are client floats, so a process-wide memo
+	// would grow without bound.
 	engines := make(map[string]Engine)
-	for _, s := range systems {
-		if _, ok := engines[s.Scenario]; ok {
-			continue
+	campaigns := make(map[campaignKey]*campaignPlan)
+	slots := make([]*campaignPlan, len(systems))
+	for i, s := range systems {
+		if _, ok := engines[s.Scenario]; !ok {
+			eng, err := resolve(s.Scenario)
+			if err != nil {
+				return Plan{}, fmt.Errorf("fleet: scenario %q: %w", s.Scenario, err)
+			}
+			engines[s.Scenario] = eng
 		}
-		eng, err := resolve(s.Scenario)
-		if err != nil {
-			return Plan{}, fmt.Errorf("fleet: scenario %q: %w", s.Scenario, err)
+		key := campaignKey{scenario: s.Scenario, role: s.Role, window: s.window()}
+		if campaigns[key] == nil {
+			campaigns[key] = &campaignPlan{}
 		}
-		engines[s.Scenario] = eng
+		slots[i] = campaigns[key]
 	}
 
-	plans, err := workpool.Map(opts.Workers, systems, func(_ int, s System) (SystemPlan, error) {
+	plans, err := workpool.Map(opts.Workers, systems, func(i int, s System) (SystemPlan, error) {
 		if err := ctx.Err(); err != nil {
 			return SystemPlan{}, err
 		}
-		return planSystem(ctx, s, engines[s.Scenario])
+		return planSystem(ctx, s, engines[s.Scenario], slots[i])
 	})
 	if err != nil {
 		return Plan{}, err
 	}
 
 	sort.Slice(plans, func(i, j int) bool { return plans[i].System.ID < plans[j].System.ID })
-	out := Plan{Systems: plans, DeadlineAtRisk: []string{}, Windows: []Window{}}
+	return schedule(ctx, plans, opts, pickCycle)
+}
 
+// picker selects one cycle's systems. pickCycle is the scheduler's; the
+// signature lets tests drive the same loops with a reference picker.
+type picker func(dst, states []*schedState, max int) []*schedState
+
+// schedule places the planned systems' rounds into maintenance windows,
+// cycle by cycle, and flags the systems whose last window ends after
+// their compliance deadline.
+func schedule(ctx context.Context, systems []SystemPlan, opts PlanOptions, pick picker) (Plan, error) {
+	out := Plan{Systems: systems, DeadlineAtRisk: []string{}, Windows: []Window{}}
 	states := make([]*schedState, len(out.Systems))
 	for i := range out.Systems {
 		states[i] = &schedState{plan: &out.Systems[i]}
 	}
+	rankStates(states)
 	lastEnd := make(map[string]float64, len(states))
+	var active []*schedState
 	for cycle := 0; ; cycle++ {
 		if err := ctx.Err(); err != nil {
 			return Plan{}, err
 		}
-		active := pickCycle(states, opts.MaxConcurrent, func(st *schedState) bool {
-			return st.next < len(st.plan.Rounds)
-		})
+		active = pick(active[:0], states, opts.MaxConcurrent)
 		if len(active) == 0 {
 			break
 		}

@@ -127,7 +127,7 @@ func Simulate(ctx context.Context, plan Plan, opts SimOptions, emit func(Event) 
 	ctx, span := trace.Start(ctx, "fleet.simulate",
 		trace.Attr{Key: "systems", Value: len(plan.Systems)},
 		trace.Attr{Key: "seed", Value: opts.Seed})
-	sum, err := simulate(ctx, plan, opts, emit)
+	sum, err := simulate(ctx, plan, opts, pickCycle, emit)
 	if err != nil {
 		span.EndErr(err)
 		return Summary{}, err
@@ -138,7 +138,7 @@ func Simulate(ctx context.Context, plan Plan, opts SimOptions, emit func(Event) 
 	return sum, nil
 }
 
-func simulate(ctx context.Context, plan Plan, opts SimOptions, emit func(Event) error) (Summary, error) {
+func simulate(ctx context.Context, plan Plan, opts SimOptions, pick picker, emit func(Event) error) (Summary, error) {
 	if len(plan.Systems) == 0 {
 		return Summary{}, fmt.Errorf("fleet: empty plan")
 	}
@@ -174,15 +174,15 @@ func simulate(ctx context.Context, plan Plan, opts SimOptions, emit func(Event) 
 	for i := range states {
 		index[schedView[i]] = i
 	}
+	rankStates(schedView)
 
 	var sum Summary
+	var active []*schedState
 	for cycle := 0; ; cycle++ {
 		if err := ctx.Err(); err != nil {
 			return Summary{}, err
 		}
-		active := pickCycle(schedView, opts.MaxConcurrent, func(st *schedState) bool {
-			return st.next < len(st.plan.Rounds)
-		})
+		active = pick(active[:0], schedView, opts.MaxConcurrent)
 		if len(active) == 0 {
 			break
 		}
@@ -207,7 +207,7 @@ func simulate(ctx context.Context, plan Plan, opts SimOptions, emit func(Event) 
 				SystemID:     sp.System.ID,
 				Round:        sched.next,
 				Attempt:      st.attempts,
-				CVEs:         cveIDs(roundPlan.Selected),
+				CVEs:         sp.Rounds[sched.next].CVEs,
 			}
 			if rng.Float64() < st.att.SuccessProbability {
 				ev.Outcome = patch.OutcomeSucceeded
