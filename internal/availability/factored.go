@@ -70,7 +70,7 @@ func SolveTierFactor(t Tier) (TierFactor, error) {
 // SingleRepair factors would assert an independence the model does not
 // have. States reports the size the product-form CTMC would have had, so
 // callers comparing against the SRN path see the same state-space
-// accounting.
+// accounting. COA and ServiceAvailability are NewLayout(nm).Compose.
 func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, error) {
 	if err := nm.Validate(); err != nil {
 		return NetworkSolution{}, err
@@ -95,39 +95,78 @@ func ComposeNetwork(nm NetworkModel, factors []TierFactor) (NetworkSolution, err
 	for i, t := range nm.Tiers {
 		sol.TierAllUp[t.Name] = factors[i].AllUp()
 	}
+	sol.COA, sol.ServiceAvailability = NewLayout(nm).Compose(factors)
+	return sol, nil
+}
 
-	total := float64(nm.TotalServers())
+// Layout is the replica-independent shape of a network model: the tier
+// indices of each logical group, in first-appearance order, and the
+// up-count each group needs. Models that differ only in tier sizes
+// share one Layout, so a sweep can build it once per tier structure and
+// compose every replica vector against it.
+type Layout struct {
+	groups  [][]int
+	quorums []int
+}
+
+// NewLayout returns nm's layout. It reads only the tier order, groups
+// and quorums, and does not validate nm.
+func NewLayout(nm NetworkModel) Layout {
 	groups := groupIndices(nm)
-	quorumOK := make([]float64, len(groups))  // P(up_g >= q_g)
-	upGivenOK := make([]float64, len(groups)) // E[up_g * 1{up_g >= q_g}]
+	quorums := make([]int, len(groups))
 	for g, idxs := range groups {
-		pmf := []float64{1} // up-count distribution of the group so far
-		for _, i := range idxs {
+		quorums[g] = nm.quorumOf(nm.Tiers[idxs[0]].group())
+	}
+	return Layout{groups: groups, quorums: quorums}
+}
+
+// Compose returns the COA and service availability of per-tier factors,
+// one per tier of the layout's model in order, under PerServer
+// semantics. It is ComposeNetwork's arithmetic without its checks: the
+// caller guarantees the factors fit the model, and each group's quorum
+// its size.
+func (l Layout) Compose(factors []TierFactor) (coa, serviceAvailability float64) {
+	servers := 0
+	for _, f := range factors {
+		servers += f.N()
+	}
+	n := len(l.groups)
+	var buf [3 * 8]float64 // per-group scratch for up to 8 groups, on the stack
+	scratch := buf[:]
+	if 3*n > len(buf) {
+		scratch = make([]float64, 3*n)
+	}
+	quorumOK := scratch[:n]       // P(up_g >= q_g)
+	upGivenOK := scratch[n : 2*n] // E[up_g * 1{up_g >= q_g}]
+	terms := scratch[2*n : 3*n]
+	for g, idxs := range l.groups {
+		// The up-count distribution of the group: its first tier's,
+		// convolved with each further tier's. (Convolving the first
+		// with the unit distribution {1} would copy it exactly.)
+		pmf := factors[idxs[0]].PMF
+		for _, i := range idxs[1:] {
 			pmf = convolve(pmf, factors[i].PMF)
 		}
-		q := nm.quorumOf(nm.Tiers[idxs[0]].group())
-		for k := q; k < len(pmf); k++ {
+		for k := l.quorums[g]; k < len(pmf); k++ {
 			quorumOK[g] += pmf[k]
 			upGivenOK[g] += float64(k) * pmf[k]
 		}
 	}
 
-	sol.ServiceAvailability = 1
+	serviceAvailability = 1
 	for _, p := range quorumOK {
-		sol.ServiceAvailability *= p
+		serviceAvailability *= p
 	}
-	terms := make([]float64, len(groups))
-	for g := range groups {
+	for g := range l.groups {
 		term := upGivenOK[g]
-		for h := range groups {
+		for h := range l.groups {
 			if h != g {
 				term *= quorumOK[h]
 			}
 		}
 		terms[g] = term
 	}
-	sol.COA = mathx.KahanSum(terms) / total
-	return sol, nil
+	return mathx.KahanSum(terms) / float64(servers), serviceAvailability
 }
 
 // SolveNetworkFactored solves the upper-layer model by the factored

@@ -181,19 +181,15 @@ func BuildNetworkSRN(nm NetworkModel) (*srn.Net, []*srn.Place, error) {
 // homogeneous tiers and default quorums this reduces to Table VI exactly.
 func COAReward(nm NetworkModel, ups []*srn.Place) srn.RewardFunc {
 	total := float64(nm.TotalServers())
-	groups := groupIndices(nm)
-	quorums := make([]int, len(groups))
-	for g, idxs := range groups {
-		quorums[g] = nm.quorumOf(nm.Tiers[idxs[0]].group())
-	}
+	l := NewLayout(nm)
 	return func(m srn.Marking) float64 {
 		upCount := 0
-		for g, idxs := range groups {
+		for g, idxs := range l.groups {
 			groupUp := 0
 			for _, i := range idxs {
 				groupUp += m.Tokens(ups[i])
 			}
-			if groupUp < quorums[g] {
+			if groupUp < l.quorums[g] {
 				return 0
 			}
 			upCount += groupUp

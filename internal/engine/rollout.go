@@ -66,9 +66,7 @@ func (g *Engine) evaluateRolloutTraced(ctx context.Context, spec paperdata.Desig
 	if !ok {
 		return redundancy.RolloutResult{}, fmt.Errorf("engine: evaluator does not support rollout evaluation")
 	}
-	if err := spec.Validate(); err != nil {
-		return redundancy.RolloutResult{}, err
-	}
+	// PatchedCounts validates the spec.
 	patched, err := redundancy.PatchedCounts(spec, fractions)
 	if err != nil {
 		return redundancy.RolloutResult{}, err

@@ -478,6 +478,14 @@ func compromiseProbability(paths []attackgraph.Path, prob map[string]float64, ma
 		}
 		pathMask[i] = mask
 	}
+	return exactCompromise(pathMask, hostProb, maxExact)
+}
+
+// exactCompromise picks the cheaper exact algorithm for the path masks
+// over hosts with the given probabilities, or reports that both exceed
+// maxExact.
+func exactCompromise(pathMask []uint64, hostProb []float64, maxExact int) (float64, error) {
+	k, h := len(pathMask), len(hostProb)
 	switch {
 	case k <= maxExact && (k <= h || h > maxExact):
 		return inclusionExclusion(pathMask, hostProb), nil

@@ -28,6 +28,12 @@ type RolloutQuotient struct {
 	// quotient spec's own key cannot distinguish which of two duplicate
 	// groups is the patched one, so the patch-state pattern is appended.
 	Structure string
+	// TierHosts gives, for each spec tier in order, the host names of
+	// the unpatched [0] and patched [1] sub-classes its replicas join,
+	// empty where the tier's class has no such sub-class. Mult is the
+	// sum over tiers of their unpatched and patched replica counts into
+	// these hosts.
+	TierHosts [][2]string
 }
 
 // LogicalIndices returns, for each logical tier in Logical() order, the
@@ -72,78 +78,64 @@ func SpecRolloutQuotient(spec DesignSpec, patched []int) (RolloutQuotient, error
 		}
 	}
 
-	quotient := DesignSpec{Name: spec.Name + "/rollout"}
-	var counts []int     // sub-class multiplicities, in quotient tier order
-	var isPatched []bool // patch state per quotient tier
-	var markers []byte   // 'u'/'p' pattern appended to the structure key
-	for _, idxs := range spec.LogicalIndices() {
-		role := spec.Tiers[idxs[0]].Role
-		type agg struct{ total, patched int }
-		classes := make(map[string]*agg, len(idxs))
-		var order []string
-		for _, i := range idxs {
-			g := spec.Tiers[i]
-			stack := g.Stack()
-			a, ok := classes[stack]
-			if !ok {
-				a = &agg{}
-				classes[stack] = a
-				order = append(order, stack)
+	classes, class := specClasses(spec)
+	total := make([]int, len(classes.Tiers))
+	done := make([]int, len(classes.Tiers))
+	for i, t := range spec.Tiers {
+		total[class[i]] += t.Replicas
+		done[class[i]] += patched[i]
+	}
+	quotient := DesignSpec{Name: spec.Name + "/rollout", Tiers: make([]TierSpec, 0, len(classes.Tiers))}
+	var counts []int                          // sub-class multiplicities, in quotient tier order
+	var isPatched []bool                      // patch state per quotient tier
+	var markers []byte                        // 'u'/'p' pattern appended to the structure key
+	sub := make([][2]int, len(classes.Tiers)) // quotient tier of each class's unpatched/patched sub-class
+	for c, t := range classes.Tiers {
+		sub[c] = [2]int{-1, -1}
+		appendClass := func(n int, p bool) {
+			state, marker := 0, byte('u')
+			if p {
+				state, marker = 1, 'p'
 			}
-			a.total += g.Replicas
-			a.patched += patched[i]
+			markers = append(markers, marker)
+			sub[c][state] = len(quotient.Tiers)
+			quotient.Tiers = append(quotient.Tiers, t)
+			counts = append(counts, n)
+			isPatched = append(isPatched, p)
 		}
-		for _, stack := range order {
-			a := classes[stack]
-			variant := ""
-			if stack != role {
-				variant = stack
-			}
-			appendClass := func(n int, p bool) {
-				quotient.Tiers = append(quotient.Tiers, TierSpec{Role: role, Replicas: 1, Variant: variant})
-				counts = append(counts, n)
-				isPatched = append(isPatched, p)
-				if p {
-					markers = append(markers, 'p')
-				} else {
-					markers = append(markers, 'u')
-				}
-			}
-			switch {
-			case a.patched == 0:
-				appendClass(a.total, false)
-			case a.patched == a.total:
-				appendClass(a.total, true)
-			default:
-				appendClass(a.total-a.patched, false)
-				appendClass(a.patched, true)
-			}
+		switch {
+		case done[c] == 0:
+			appendClass(total[c], false)
+		case done[c] == total[c]:
+			appendClass(total[c], true)
+		default:
+			appendClass(total[c]-done[c], false)
+			appendClass(done[c], true)
 		}
 	}
 
-	// Class host names replay SpecTopology's stack-keyed counter over the
-	// quotient spec; the duplicate groups of a split class get consecutive
-	// numbers ("web1" unpatched, "web2" patched). Logical() preserves the
-	// append order — roles were appended contiguously in first-appearance
-	// order — so the flat index gi walks the tiers exactly as built.
+	// The duplicate groups of a split class get consecutive host numbers
+	// ("web1" unpatched, "web2" patched): classes are appended per role
+	// contiguously, so the quotient's tiers are in Logical() order.
+	hosts := classHosts(quotient)
 	rq := RolloutQuotient{
 		Quotient:     quotient,
 		Mult:         make(map[string]int, len(quotient.Tiers)),
 		PatchedHosts: make(map[string]string),
 		Structure:    quotient.Key() + "|" + string(markers),
+		TierHosts:    make([][2]string, len(spec.Tiers)),
 	}
-	counter := make(map[string]int)
-	gi := 0
-	for _, lt := range quotient.Logical() {
-		for _, g := range lt.Groups {
-			stack := g.Stack()
-			counter[stack]++
-			name := fmt.Sprintf("%s%d", stack, counter[stack])
-			rq.Mult[name] = counts[gi]
-			if isPatched[gi] {
-				rq.PatchedHosts[name] = stack
+	for j, name := range hosts {
+		rq.Mult[name] = counts[j]
+		if isPatched[j] {
+			rq.PatchedHosts[name] = quotient.Tiers[j].Stack()
+		}
+	}
+	for i, c := range class {
+		for state, j := range sub[c] {
+			if j >= 0 {
+				rq.TierHosts[i][state] = hosts[j]
 			}
-			gi++
 		}
 	}
 	return rq, nil

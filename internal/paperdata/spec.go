@@ -279,38 +279,75 @@ func SpecQuotient(spec DesignSpec) (quotient DesignSpec, mult map[string]int, st
 	if err := spec.Validate(); err != nil {
 		return DesignSpec{}, nil, "", err
 	}
-	quotient = DesignSpec{Name: spec.Name + "/quotient"}
-	replicas := make(map[string]int) // per class, in quotient tier order
-	for _, lt := range spec.Logical() {
-		seen := make(map[string]bool, len(lt.Groups))
-		for _, g := range lt.Groups {
-			stack := g.Stack()
-			key := lt.Role + "\x00" + stack
-			if !seen[stack] {
-				seen[stack] = true
-				variant := ""
-				if stack != lt.Role {
-					variant = stack
-				}
-				quotient.Tiers = append(quotient.Tiers, TierSpec{Role: lt.Role, Replicas: 1, Variant: variant})
-				replicas[key] = 0
-			}
-			replicas[key] += g.Replicas
-		}
-	}
-	// Class host names replay SpecTopology's stack-keyed counter over the
-	// quotient spec, where every class contributes exactly one host.
+	quotient, class := specClasses(spec)
+	hosts := classHosts(quotient)
 	mult = make(map[string]int, len(quotient.Tiers))
-	counter := make(map[string]int)
-	for _, lt := range quotient.Logical() {
-		for _, g := range lt.Groups {
-			stack := g.Stack()
-			counter[stack]++
-			name := fmt.Sprintf("%s%d", stack, counter[stack])
-			mult[name] = replicas[lt.Role+"\x00"+stack]
-		}
+	for i, t := range spec.Tiers {
+		mult[hosts[class[i]]] += t.Replicas
 	}
 	return quotient, mult, quotient.Key(), nil
+}
+
+// SpecQuotientClasses returns, for each tier of spec in order, the
+// quotient topology host name of the replica class the tier's servers
+// join — SpecQuotient's multiplicity of a class is the sum of Replicas
+// over the tiers mapped to it. The mapping depends only on the tiers'
+// roles and stacks, never on replica counts.
+func SpecQuotientClasses(spec DesignSpec) ([]string, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	quotient, class := specClasses(spec)
+	hosts := classHosts(quotient)
+	names := make([]string, len(class))
+	for i, c := range class {
+		names[i] = hosts[c]
+	}
+	return names, nil
+}
+
+// specClasses builds the quotient spec of a valid spec — one
+// single-replica tier per (logical tier, stack) class, appended per
+// logical tier in first-appearance order of its stacks, so already in
+// Logical() order — and the quotient tier each spec tier's replicas
+// join.
+func specClasses(spec DesignSpec) (quotient DesignSpec, class []int) {
+	quotient = DesignSpec{Name: spec.Name + "/quotient"}
+	class = make([]int, len(spec.Tiers))
+	for _, idxs := range spec.LogicalIndices() {
+		role := spec.Tiers[idxs[0]].Role
+		first := len(quotient.Tiers)
+		for _, i := range idxs {
+			stack := spec.Tiers[i].Stack()
+			c := first
+			for c < len(quotient.Tiers) && quotient.Tiers[c].Stack() != stack {
+				c++
+			}
+			if c == len(quotient.Tiers) {
+				variant := ""
+				if stack != role {
+					variant = stack
+				}
+				quotient.Tiers = append(quotient.Tiers, TierSpec{Role: role, Replicas: 1, Variant: variant})
+			}
+			class[i] = c
+		}
+	}
+	return quotient, class
+}
+
+// classHosts names the hosts of a quotient spec whose tiers are in
+// Logical() order with one replica each: SpecTopology's stack-keyed
+// counter, replayed.
+func classHosts(quotient DesignSpec) []string {
+	hosts := make([]string, len(quotient.Tiers))
+	counter := make(map[string]int)
+	for c, t := range quotient.Tiers {
+		stack := t.Stack()
+		counter[stack]++
+		hosts[c] = stack + strconv.Itoa(counter[stack])
+	}
+	return hosts
 }
 
 // tierSubnet places a logical tier on the Fig. 2 network: the paper's

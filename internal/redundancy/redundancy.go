@@ -8,7 +8,9 @@ package redundancy
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,14 +30,17 @@ import (
 // schedule, and the HARM evaluation options. Lower-layer availability
 // models are solved once per software stack and cached — the paper's
 // four roles eagerly at construction, variant stacks (RoleWebAlt)
-// lazily on first use.
+// lazily on first use. Everything about a design that does not depend
+// on its replica counts is compiled once per tier signature (see
+// compiledSpec), so evaluating a design of a known signature is memo
+// lookups plus multiplicity arithmetic.
 //
 // An Evaluator is safe for concurrent use after NewEvaluator returns:
-// the configuration fields are read-only from then on, the per-stack
-// rate cache is guarded by its mutex, harm.Build clones the shared
-// attack-tree templates before touching them, vulndb.DB lookups are plain
-// map reads, and each Evaluate call builds its own topology, HARM and
-// network model. The one caveat is the vulnerability database itself —
+// the configuration fields are read-only from then on, the memos and
+// compiled structures are guarded by its mutex (or published through
+// atomic pointers) and immutable once stored, harm.Build clones the
+// shared attack-tree templates before touching them, and vulndb.DB
+// lookups are plain map reads. The one caveat is the vulnerability database itself —
 // callers must not mutate a DB (Add/UnmarshalJSON) that a live Evaluator
 // reads. The concurrent engine (internal/engine) relies on this
 // guarantee.
@@ -46,13 +51,18 @@ type Evaluator struct {
 	schedule patch.Schedule
 	evalOpts harm.EvalOptions
 	workers  int
+	// fingerprint renders policy, schedule and evaluation options: the
+	// policy half of every security memo key. It is fixed at
+	// construction, like the fields it renders.
+	fingerprint string
 
-	mu       sync.Mutex // guards agg, plans, factors, security and rollout (lazy solves)
-	agg      map[string]availability.AggregatedRates
-	plans    map[string]patch.Plan
-	factors  map[factorKey]availability.TierFactor
-	security map[securityKey]*securityFactor
-	rollout  map[securityKey]*harm.FactoredHARM
+	mu         sync.Mutex // guards agg, plans, factors, security, rollout and structures (lazy solves)
+	agg        map[string]availability.AggregatedRates
+	plans      map[string]patch.Plan
+	factors    map[factorKey]availability.TierFactor
+	security   map[securityKey]*securityFactor
+	rollout    map[securityKey]*harm.FactoredHARM
+	structures map[string]*compiledSpec // by tier signature (appendTierSignature)
 
 	// Solver dispatch counters (see SolverStats).
 	factoredSolves   atomic.Uint64
@@ -98,6 +108,45 @@ type securityFactor struct {
 	before, after *harm.FactoredHARM
 }
 
+// compiledSpec is everything about evaluating a spec that depends only
+// on its tier signature — each tier's role and stack, in order — and
+// not on replica counts. It is built once per signature; every spec of
+// that signature then evaluates by filling its replica counts into it.
+type compiledSpec struct {
+	net networkLayout
+	// hosts names each spec tier's replica class by its quotient host
+	// (paperdata.SpecQuotientClasses); class numbers the classes in
+	// first-appearance order.
+	hosts   []string
+	class   []int
+	classes int
+	// sec is the security half, bound on the signature's first atomic
+	// evaluation; rollout evaluations never need it.
+	sec atomic.Pointer[compiledSecurity]
+	// rollouts holds the rollout security halves by per-class patch
+	// state pattern (see rolloutFor); guarded by Evaluator.mu.
+	rollouts map[string]*compiledRollout
+}
+
+// compiledSecurity binds a tier signature to its factored security
+// model: spec tier i's replicas join the model's class class[i], an
+// index into its Classes() order.
+type compiledSecurity struct {
+	factor  *securityFactor
+	class   []int
+	classes int
+}
+
+// networkLayout is the availability half of a tier signature: the
+// network tiers in logical order with their names, groups and stack
+// rates. Tier sizes are left zero and filled per spec.
+type networkLayout struct {
+	tiers  []availability.Tier
+	stacks []string // the software stack behind each tier
+	order  []int    // network tier i is spec tier order[i]
+	layout availability.Layout
+}
+
 // Options configures an Evaluator. Zero-value fields select the paper's
 // defaults.
 type Options struct {
@@ -123,16 +172,17 @@ type Options struct {
 // models.
 func NewEvaluator(opts Options) (*Evaluator, error) {
 	e := &Evaluator{
-		db:       opts.DB,
-		trees:    opts.Trees,
-		policy:   patch.CriticalPolicy(),
-		schedule: patch.MonthlySchedule(),
-		evalOpts: harm.EvalOptions{Strategy: harm.ASPCompromise, ORRule: attacktree.ORNoisy},
-		agg:      make(map[string]availability.AggregatedRates),
-		plans:    make(map[string]patch.Plan),
-		factors:  make(map[factorKey]availability.TierFactor),
-		security: make(map[securityKey]*securityFactor),
-		rollout:  make(map[securityKey]*harm.FactoredHARM),
+		db:         opts.DB,
+		trees:      opts.Trees,
+		policy:     patch.CriticalPolicy(),
+		schedule:   patch.MonthlySchedule(),
+		evalOpts:   harm.EvalOptions{Strategy: harm.ASPCompromise, ORRule: attacktree.ORNoisy},
+		agg:        make(map[string]availability.AggregatedRates),
+		plans:      make(map[string]patch.Plan),
+		factors:    make(map[factorKey]availability.TierFactor),
+		security:   make(map[securityKey]*securityFactor),
+		rollout:    make(map[securityKey]*harm.FactoredHARM),
+		structures: make(map[string]*compiledSpec),
 	}
 	if e.db == nil {
 		e.db = paperdata.VulnDB()
@@ -153,6 +203,7 @@ func NewEvaluator(opts Options) (*Evaluator, error) {
 	if opts.Workers > 0 {
 		e.workers = opts.Workers
 	}
+	e.fingerprint = fmt.Sprintf("pol=%+v|sch=%+v|eval=%+v", e.policy, e.schedule, e.evalOpts)
 
 	for _, role := range paperdata.Roles() {
 		if _, err := e.ratesFor(role); err != nil {
@@ -252,45 +303,104 @@ func (e *Evaluator) buildHARM(spec paperdata.DesignSpec) (*harm.HARM, error) {
 // by logical role so heterogeneous groups back each other up (the
 // service is up while any group of the role has a server up).
 func (e *Evaluator) NetworkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, error) {
-	nm, _, err := e.networkModelFor(spec)
-	return nm, err
+	if err := spec.Validate(); err != nil {
+		return availability.NetworkModel{}, err
+	}
+	c, err := e.structureFor(spec)
+	if err != nil {
+		return availability.NetworkModel{}, err
+	}
+	tiers := slices.Clone(c.net.tiers)
+	for i := range tiers {
+		tiers[i].N = spec.Tiers[c.net.order[i]].Replicas
+	}
+	return availability.NetworkModel{Tiers: tiers}, nil
 }
 
-// networkModelFor is NetworkModelFor plus the software stack behind each
-// tier in order — the memo identity the factored solver caches tier
-// factors under (tier names carry ordinal suffixes, stacks do not).
-func (e *Evaluator) networkModelFor(spec paperdata.DesignSpec) (availability.NetworkModel, []string, error) {
-	if err := spec.Validate(); err != nil {
-		return availability.NetworkModel{}, nil, err
+// appendTierSignature appends spec's tier signature to b: each tier's
+// role and stack, length-prefixed so that no two signatures collide.
+// Specs that differ only in replica counts or names share it.
+func appendTierSignature(b []byte, spec paperdata.DesignSpec) []byte {
+	for _, t := range spec.Tiers {
+		b = binary.AppendUvarint(b, uint64(len(t.Role)))
+		b = append(b, t.Role...)
+		stack := t.Stack()
+		b = binary.AppendUvarint(b, uint64(len(stack)))
+		b = append(b, stack...)
 	}
-	var nm availability.NetworkModel
-	var stacks []string
+	return b
+}
+
+// structureFor returns the compiled structure of a valid spec's tier
+// signature, building its availability half and class map on first use.
+// Concurrent first calls may each build one; the first stored wins.
+func (e *Evaluator) structureFor(spec paperdata.DesignSpec) (*compiledSpec, error) {
+	var buf [128]byte
+	sig := appendTierSignature(buf[:0], spec)
+	e.mu.Lock()
+	c, ok := e.structures[string(sig)]
+	e.mu.Unlock()
+	if ok {
+		return c, nil
+	}
+	net, err := e.networkLayoutFor(spec)
+	if err != nil {
+		return nil, err
+	}
+	hosts, err := paperdata.SpecQuotientClasses(spec)
+	if err != nil {
+		return nil, err
+	}
+	c = &compiledSpec{net: net, hosts: hosts, class: make([]int, len(hosts)), rollouts: make(map[string]*compiledRollout)}
+	for i, host := range hosts {
+		if j := slices.Index(hosts[:i], host); j >= 0 {
+			c.class[i] = c.class[j]
+			continue
+		}
+		c.class[i] = c.classes
+		c.classes++
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if prev, ok := e.structures[string(sig)]; ok {
+		return prev, nil
+	}
+	e.structures[string(sig)] = c
+	return c, nil
+}
+
+// networkLayoutFor builds the availability half of a spec's tier
+// signature: one network tier per replica group in logical order, named
+// after its stack (a stack deployed in several groups gets an ordinal
+// suffix past the first, since tier names must be unique in the SRN).
+func (e *Evaluator) networkLayoutFor(spec paperdata.DesignSpec) (networkLayout, error) {
+	var nl networkLayout
 	names := make(map[string]int)
-	for _, lt := range spec.Logical() {
-		for _, g := range lt.Groups {
-			stack := g.Stack()
+	for _, idxs := range spec.LogicalIndices() {
+		role := spec.Tiers[idxs[0]].Role
+		for _, i := range idxs {
+			stack := spec.Tiers[i].Stack()
 			agg, err := e.ratesFor(stack)
 			if err != nil {
-				return availability.NetworkModel{}, nil, err
+				return networkLayout{}, err
 			}
-			// Tier names must be unique in the SRN; a stack deployed in
-			// several groups gets an ordinal suffix past the first.
 			name := stack
 			names[stack]++
 			if names[stack] > 1 {
 				name = fmt.Sprintf("%s#%d", stack, names[stack])
 			}
-			nm.Tiers = append(nm.Tiers, availability.Tier{
+			nl.tiers = append(nl.tiers, availability.Tier{
 				Name:     name,
-				Group:    lt.Role,
-				N:        g.Replicas,
+				Group:    role,
 				LambdaEq: agg.LambdaEq,
 				MuEq:     agg.MuEq,
 			})
-			stacks = append(stacks, stack)
+			nl.stacks = append(nl.stacks, stack)
+			nl.order = append(nl.order, i)
 		}
 	}
-	return nm, stacks, nil
+	nl.layout = availability.NewLayout(availability.NetworkModel{Tiers: nl.tiers})
+	return nl, nil
 }
 
 // tierFactorFor returns the birth–death solution of one (stack, replica
@@ -317,64 +427,34 @@ func (e *Evaluator) tierFactorFor(ctx context.Context, stack string, tier availa
 	return f, false, nil
 }
 
-// solveNetwork dispatches one spec's availability solve: PerServer
-// models (every model this evaluator builds) go through the memoized
-// factored path, anything else falls back to the generated SRN. When
-// every tier factor is already memoized the solve is closed-form
+// availabilityFor solves one spec's availability on its compiled
+// layout: the memoized per-tier factors composed by layout arithmetic.
+// When every tier factor is already memoized the solve is closed-form
 // arithmetic, so it is recorded as attributes on the caller's span
 // rather than a span of its own — a memo-warm sweep stays nearly
 // span-free. Any real solve work gets an "availability.solve" span
-// recording which solver answered and how many tier factors came from
-// the memo versus fresh solves.
-func (e *Evaluator) solveNetwork(ctx context.Context, nm availability.NetworkModel, stacks []string) (availability.NetworkSolution, error) {
-	if nm.Recovery == 0 || nm.Recovery == availability.PerServer {
-		if factors, ok := e.memoizedFactors(nm, stacks); ok {
-			// One attribute suffices: on this path every tier factor was
-			// a memo hit by definition.
-			trace.FromContext(ctx).SetAttr("availability_solver", "factored")
-			e.factoredSolves.Add(1)
-			return availability.ComposeNetwork(nm, factors)
-		}
+// recording how many tier factors came from the memo versus fresh
+// solves.
+func (e *Evaluator) availabilityFor(ctx context.Context, nl *networkLayout, spec paperdata.DesignSpec) (coa, serviceAvailability float64, err error) {
+	factors := make([]availability.TierFactor, len(nl.tiers))
+	if e.memoizedFactors(nl, spec, factors) {
+		// One attribute suffices: on this path every tier factor was
+		// a memo hit by definition.
+		trace.FromContext(ctx).SetAttr("availability_solver", "factored")
+		e.factoredSolves.Add(1)
+		coa, serviceAvailability = nl.layout.Compose(factors)
+		return coa, serviceAvailability, nil
 	}
 	ctx, sp := trace.Start(ctx, "availability.solve",
-		trace.Attr{Key: "tiers", Value: len(nm.Tiers)})
-	sol, err := e.solveNetworkSpanned(ctx, sp, nm, stacks)
-	sp.EndErr(err)
-	return sol, err
-}
-
-// memoizedFactors returns the spec's tier factors when every (stack, n)
-// pair is already memoized, counting the hits; one miss returns false
-// with nothing counted, and the caller takes the spanned solve path
-// (where tierFactorFor counts hits and misses individually).
-func (e *Evaluator) memoizedFactors(nm availability.NetworkModel, stacks []string) ([]availability.TierFactor, bool) {
-	factors := make([]availability.TierFactor, len(nm.Tiers))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, t := range nm.Tiers {
-		f, ok := e.factors[factorKey{stack: stacks[i], n: t.N, patched: t.N}]
-		if !ok {
-			return nil, false
-		}
-		factors[i] = f
-	}
-	e.tierFactorHits.Add(uint64(len(nm.Tiers)))
-	return factors, true
-}
-
-func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm availability.NetworkModel, stacks []string) (availability.NetworkSolution, error) {
-	if nm.Recovery != 0 && nm.Recovery != availability.PerServer {
-		sp.SetAttr("solver", "srn")
-		e.srnSolves.Add(1)
-		return availability.SolveNetworkSRNCtx(ctx, nm)
-	}
-	sp.SetAttr("solver", "factored")
-	factors := make([]availability.TierFactor, len(nm.Tiers))
+		trace.Attr{Key: "tiers", Value: len(nl.tiers)},
+		trace.Attr{Key: "solver", Value: "factored"})
+	defer func() { sp.EndErr(err) }()
 	hits := 0
-	for i, t := range nm.Tiers {
-		f, hit, err := e.tierFactorFor(ctx, stacks[i], t)
+	for i, t := range nl.tiers {
+		t.N = spec.Tiers[nl.order[i]].Replicas
+		f, hit, err := e.tierFactorFor(ctx, nl.stacks[i], t)
 		if err != nil {
-			return availability.NetworkSolution{}, err
+			return 0, 0, err
 		}
 		if hit {
 			hits++
@@ -382,17 +462,29 @@ func (e *Evaluator) solveNetworkSpanned(ctx context.Context, sp *trace.Span, nm 
 		factors[i] = f
 	}
 	sp.SetAttr("tier_memo_hits", hits)
-	sp.SetAttr("tier_solves", len(nm.Tiers)-hits)
+	sp.SetAttr("tier_solves", len(nl.tiers)-hits)
 	e.factoredSolves.Add(1)
-	return availability.ComposeNetwork(nm, factors)
+	coa, serviceAvailability = nl.layout.Compose(factors)
+	return coa, serviceAvailability, nil
 }
 
-// policyFingerprint renders the evaluator's patch-policy configuration
-// for the security-memo key. Within one evaluator the policy never
-// changes, but keeping it in the key makes a factor self-describing and
-// keeps any future cross-evaluator sharing honest.
-func (e *Evaluator) policyFingerprint() string {
-	return fmt.Sprintf("pol=%+v|sch=%+v|eval=%+v", e.policy, e.schedule, e.evalOpts)
+// memoizedFactors fills factors with the spec's tier factors when every
+// (stack, n) pair is already memoized, counting the hits; one miss
+// returns false with nothing counted, and the caller takes the spanned
+// solve path (where tierFactorFor counts hits and misses individually).
+func (e *Evaluator) memoizedFactors(nl *networkLayout, spec paperdata.DesignSpec, factors []availability.TierFactor) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i, stack := range nl.stacks {
+		n := spec.Tiers[nl.order[i]].Replicas
+		f, ok := e.factors[factorKey{stack: stack, n: n, patched: n}]
+		if !ok {
+			return false
+		}
+		factors[i] = f
+	}
+	e.tierFactorHits.Add(uint64(len(nl.stacks)))
+	return true
 }
 
 // keepLeaf is the patch transformation's keep predicate: a leaf survives
@@ -419,7 +511,7 @@ func (e *Evaluator) keepLeaf(_ string, l *attacktree.Leaf) bool {
 // "security.evaluate" span, while hits stay span-free (the caller
 // records provenance attributes instead).
 func (e *Evaluator) securityFactorFor(ctx context.Context, quotient paperdata.DesignSpec, structure string) (*securityFactor, bool, error) {
-	k := securityKey{structure: structure, policy: e.policyFingerprint()}
+	k := securityKey{structure: structure, policy: e.fingerprint}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if f, ok := e.security[k]; ok {
@@ -462,20 +554,27 @@ func (e *Evaluator) buildSecurityFactor(quotient paperdata.DesignSpec) (*securit
 	return &securityFactor{before: before, after: after}, nil
 }
 
-// securityFor evaluates both sides of the patch round for one spec via
-// the factored path: the quotient model is fetched (or built) once per
-// variant structure, and the spec's replica counts enter the metrics in
-// closed form. A memo hit is pure closed-form arithmetic, so it records
-// provenance attributes on the caller's span instead of opening one of
-// its own; only a miss — a genuine model build inside securityFactorFor
-// — gets a "security.evaluate" span. The expanded-topology evaluation
+// securityFor evaluates both sides of the patch round for a valid spec
+// via the factored path. The expanded-topology evaluation
 // (securityExpanded) remains as the cross-validation oracle.
 func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
-	quotient, mult, structure, err := paperdata.SpecQuotient(spec)
+	c, err := e.structureFor(spec)
 	if err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
-	f, hit, err := e.securityFactorFor(ctx, quotient, structure)
+	return e.securityOf(ctx, c, spec)
+}
+
+// securityOf evaluates both sides of the patch round on a spec's
+// compiled structure: the quotient model is fetched (or built) once per
+// tier signature, and the spec's replica counts enter the metrics in
+// closed form as a class multiplicity vector. A memo hit is pure
+// closed-form arithmetic, so it records provenance attributes on the
+// caller's span instead of opening one of its own; only a miss — a
+// genuine model build inside securityFactorFor — gets a
+// "security.evaluate" span.
+func (e *Evaluator) securityOf(ctx context.Context, c *compiledSpec, spec paperdata.DesignSpec) (before, after harm.Metrics, err error) {
+	s, hit, err := e.compiledSecurityFor(ctx, c, spec)
 	if err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
@@ -487,13 +586,50 @@ func (e *Evaluator) securityFor(ctx context.Context, spec paperdata.DesignSpec) 
 		parent.SetAttr("security_memo", "miss")
 	}
 	e.securityFactored.Add(1)
-	if before, err = f.before.Evaluate(mult, e.evalOpts); err != nil {
+	mult := make([]int, s.classes)
+	for i, t := range spec.Tiers {
+		mult[s.class[i]] += t.Replicas
+	}
+	if before, err = s.factor.before.EvaluateVector(mult, e.evalOpts); err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
-	if after, err = f.after.Evaluate(mult, e.evalOpts); err != nil {
+	if after, err = s.factor.after.EvaluateVector(mult, e.evalOpts); err != nil {
 		return harm.Metrics{}, harm.Metrics{}, err
 	}
 	return before, after, nil
+}
+
+// compiledSecurityFor returns the security half of a compiled
+// structure, binding it on first use. Every call counts exactly one
+// security memo hit or solve, so SecuritySolves stays the number of
+// distinct quotient structures: a bound half is a hit, and binding one
+// runs SpecQuotient and securityFactorFor, which counts for itself.
+// Concurrent first calls may each bind; the first stored wins, and the
+// factor they share is built once.
+func (e *Evaluator) compiledSecurityFor(ctx context.Context, c *compiledSpec, spec paperdata.DesignSpec) (*compiledSecurity, bool, error) {
+	if s := c.sec.Load(); s != nil {
+		e.securityHits.Add(1)
+		return s, true, nil
+	}
+	quotient, _, structure, err := paperdata.SpecQuotient(spec)
+	if err != nil {
+		return nil, false, err
+	}
+	f, hit, err := e.securityFactorFor(ctx, quotient, structure)
+	if err != nil {
+		return nil, false, err
+	}
+	classes := f.before.Classes()
+	s := &compiledSecurity{factor: f, class: make([]int, len(c.hosts)), classes: len(classes)}
+	for i, host := range c.hosts {
+		if s.class[i] = slices.Index(classes, host); s.class[i] < 0 {
+			return nil, false, fmt.Errorf("redundancy: quotient class %q missing from the security model", host)
+		}
+	}
+	if !c.sec.CompareAndSwap(nil, s) {
+		s = c.sec.Load()
+	}
+	return s, hit, nil
 }
 
 // securityExpanded evaluates the security metrics on the full
@@ -592,22 +728,17 @@ func (e *Evaluator) EvaluateSpecContext(ctx context.Context, spec paperdata.Desi
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
+	c, err := e.structureFor(spec)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{Spec: spec}
-	var err error
-	if res.Before, res.After, err = e.securityFor(ctx, spec); err != nil {
+	if res.Before, res.After, err = e.securityOf(ctx, c, spec); err != nil {
 		return Result{}, err
 	}
-
-	nm, stacks, err := e.networkModelFor(spec)
-	if err != nil {
+	if res.COA, res.ServiceAvailability, err = e.availabilityFor(ctx, &c.net, spec); err != nil {
 		return Result{}, err
 	}
-	sol, err := e.solveNetwork(ctx, nm, stacks)
-	if err != nil {
-		return Result{}, err
-	}
-	res.COA = sol.COA
-	res.ServiceAvailability = sol.ServiceAvailability
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"redpatch/internal/availability"
 	"redpatch/internal/harm"
@@ -159,6 +160,11 @@ func PatchedCounts(spec paperdata.DesignSpec, fractions []float64) ([]int, error
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	return patchedCounts(spec, fractions)
+}
+
+// patchedCounts is PatchedCounts for a spec already validated.
+func patchedCounts(spec paperdata.DesignSpec, fractions []float64) ([]int, error) {
 	if len(fractions) != len(spec.Tiers) {
 		return nil, fmt.Errorf("redundancy: %d rollout fractions for %d tiers", len(fractions), len(spec.Tiers))
 	}
@@ -200,7 +206,7 @@ type RolloutResult struct {
 // atomic security memo, the build runs under the mutex and only a miss
 // opens a "security.evaluate" span.
 func (e *Evaluator) rolloutModelFor(ctx context.Context, rq paperdata.RolloutQuotient) (*harm.FactoredHARM, bool, error) {
-	k := securityKey{structure: rq.Structure, policy: e.policyFingerprint()}
+	k := securityKey{structure: rq.Structure, policy: e.fingerprint}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if m, ok := e.rollout[k]; ok {
@@ -226,6 +232,82 @@ func (e *Evaluator) rolloutModelFor(ctx context.Context, rq paperdata.RolloutQuo
 	e.rolloutModels.Add(1)
 	e.rollout[k] = m
 	return m, false, nil
+}
+
+// compiledRollout binds a tier signature at one per-class patch state
+// pattern to its mixed-version security model: spec tier i's unpatched
+// and patched replicas join the model's classes sub[i][0] and sub[i][1]
+// (indices into its Classes() order, -1 where the tier's class has no
+// such sub-class).
+type compiledRollout struct {
+	model   *harm.FactoredHARM
+	sub     [][2]int
+	classes int
+}
+
+// rolloutFor returns the rollout security half of a compiled structure
+// at the patch state pattern of patched, binding it on first use. The
+// pattern — each class unpatched, patched or mixed — together with the
+// tier signature determines the rollout quotient, so specs of one
+// signature share the binding whatever their replica and patched
+// counts. Every call counts exactly one rollout model hit or build, so
+// RolloutModels stays the number of distinct rollout structures: a
+// bound pattern is a hit, and binding one runs SpecRolloutQuotient and
+// rolloutModelFor, which counts for itself.
+func (e *Evaluator) rolloutFor(ctx context.Context, c *compiledSpec, spec paperdata.DesignSpec, patched []int) (*compiledRollout, bool, error) {
+	total := make([]int, 2*c.classes)
+	done := total[c.classes:]
+	for i, t := range spec.Tiers {
+		total[c.class[i]] += t.Replicas
+		done[c.class[i]] += patched[i]
+	}
+	var buf [32]byte
+	pattern := buf[:0]
+	for k, d := range done {
+		switch d {
+		case 0:
+			pattern = append(pattern, 'u')
+		case total[k]:
+			pattern = append(pattern, 'p')
+		default:
+			pattern = append(pattern, 'm')
+		}
+	}
+	e.mu.Lock()
+	ro, ok := c.rollouts[string(pattern)]
+	e.mu.Unlock()
+	if ok {
+		e.rolloutModelHits.Add(1)
+		return ro, true, nil
+	}
+	rq, err := paperdata.SpecRolloutQuotient(spec, patched)
+	if err != nil {
+		return nil, false, err
+	}
+	model, hit, err := e.rolloutModelFor(ctx, rq)
+	if err != nil {
+		return nil, false, err
+	}
+	classes := model.Classes()
+	ro = &compiledRollout{model: model, sub: make([][2]int, len(spec.Tiers)), classes: len(classes)}
+	for i, hosts := range rq.TierHosts {
+		for state, host := range hosts {
+			ro.sub[i][state] = -1
+			if host == "" {
+				continue
+			}
+			if ro.sub[i][state] = slices.Index(classes, host); ro.sub[i][state] < 0 {
+				return nil, false, fmt.Errorf("redundancy: rollout class %q missing from the security model", host)
+			}
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if prev, ok := c.rollouts[string(pattern)]; ok {
+		return prev, hit, nil
+	}
+	c.rollouts[string(pattern)] = ro
+	return ro, hit, nil
 }
 
 // tierFactorRollout returns the mixed-version tier factor, memoized
@@ -255,20 +337,25 @@ func (e *Evaluator) tierFactorRollout(ctx context.Context, stack string, tier av
 // EvaluateRollout evaluates one design at one rollout point given by
 // per-tier patched fractions (aligned with spec.Tiers). Both axes run
 // factored: security on the sub-classed rollout quotient with the
-// mixed-version model memoized per rollout structure, availability by
-// composing mixed-version tier factors memoized per (stack, n, patched).
+// mixed-version model memoized (and compiled) per rollout structure,
+// availability by composing mixed-version tier factors memoized per
+// (stack, n, patched) on the spec's compiled network layout — the one
+// the atomic path uses.
 // The context carries tracing only; provenance lands as attributes on
 // the caller's span exactly like the atomic path.
 func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSpec, fractions []float64) (RolloutResult, error) {
-	patched, err := PatchedCounts(spec, fractions)
+	if err := spec.Validate(); err != nil {
+		return RolloutResult{}, err
+	}
+	patched, err := patchedCounts(spec, fractions)
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	rq, err := paperdata.SpecRolloutQuotient(spec, patched)
+	c, err := e.structureFor(spec)
 	if err != nil {
 		return RolloutResult{}, err
 	}
-	model, hit, err := e.rolloutModelFor(ctx, rq)
+	ro, hit, err := e.rolloutFor(ctx, c, spec, patched)
 	if err != nil {
 		return RolloutResult{}, err
 	}
@@ -285,23 +372,26 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 		Fractions: append([]float64(nil), fractions...),
 		Patched:   patched,
 	}
-	if res.Security, err = model.Evaluate(rq.Mult, e.evalOpts); err != nil {
+	mult := make([]int, ro.classes)
+	for i, t := range spec.Tiers {
+		if n := t.Replicas - patched[i]; n > 0 {
+			mult[ro.sub[i][0]] += n
+		}
+		if patched[i] > 0 {
+			mult[ro.sub[i][1]] += patched[i]
+		}
+	}
+	if res.Security, err = ro.model.EvaluateVector(mult, e.evalOpts); err != nil {
 		return RolloutResult{}, err
 	}
 
-	nm, stacks, err := e.networkModelFor(spec)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	// nm.Tiers follows spec.Logical() order; patched follows spec.Tiers
-	// order. LogicalIndices maps between them.
-	order := make([]int, 0, len(nm.Tiers))
-	for _, idxs := range spec.LogicalIndices() {
-		order = append(order, idxs...)
-	}
-	factors := make([]availability.TierFactor, len(nm.Tiers))
-	for i, t := range nm.Tiers {
-		f, _, err := e.tierFactorRollout(ctx, stacks[i], t, patched[order[i]])
+	// The layout's tiers follow spec.Logical() order; patched follows
+	// spec.Tiers order, and order maps between them.
+	nl := &c.net
+	factors := make([]availability.TierFactor, len(nl.tiers))
+	for i, t := range nl.tiers {
+		t.N = spec.Tiers[nl.order[i]].Replicas
+		f, _, err := e.tierFactorRollout(ctx, nl.stacks[i], t, patched[nl.order[i]])
 		if err != nil {
 			return RolloutResult{}, err
 		}
@@ -309,11 +399,6 @@ func (e *Evaluator) EvaluateRollout(ctx context.Context, spec paperdata.DesignSp
 	}
 	parent.SetAttr("availability_solver", "factored")
 	e.factoredSolves.Add(1)
-	sol, err := availability.ComposeNetwork(nm, factors)
-	if err != nil {
-		return RolloutResult{}, err
-	}
-	res.COA = sol.COA
-	res.ServiceAvailability = sol.ServiceAvailability
+	res.COA, res.ServiceAvailability = nl.layout.Compose(factors)
 	return res, nil
 }
