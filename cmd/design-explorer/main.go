@@ -20,6 +20,7 @@ import (
 
 	"redpatch"
 
+	"redpatch/internal/paperdata"
 	"redpatch/internal/report"
 )
 
@@ -52,7 +53,11 @@ func run(w io.Writer, maxPerTier int, maxASP, minCOA float64, maxNoEV, maxNoAP, 
 	}
 	// One engine sweep yields the whole space (evaluated concurrently and
 	// memoized) together with its Pareto front.
-	sweep, err := study.Sweep(context.Background(), redpatch.FullSweep(maxPerTier))
+	var req redpatch.SpecSweepRequest
+	for _, role := range paperdata.Roles() {
+		req.Tiers = append(req.Tiers, redpatch.TierSweep{Role: role, Min: 1, Max: maxPerTier})
+	}
+	sweep, err := study.SweepSpec(context.Background(), req)
 	if err != nil {
 		return err
 	}

@@ -48,9 +48,10 @@ func run(w io.Writer, dns, web, app, db int, role string, windowMinutes, top int
 	if err != nil {
 		return err
 	}
+	spec := redpatch.ClassicSpec("plan", dns, web, app, db)
 
 	// Part 1: which single patch buys the most?
-	ranked, err := study.RankPatches("plan", dns, web, app, db)
+	ranked, err := study.RankPatchesSpec(spec)
 	if err != nil {
 		return err
 	}
@@ -92,7 +93,7 @@ func run(w io.Writer, dns, web, app, db int, role string, windowMinutes, top int
 	fmt.Fprintln(w)
 
 	// Part 3: how often does the design lose the whole service?
-	mttf, err := study.MeanTimeToServiceOutage("plan", dns, web, app, db)
+	mttf, err := study.MeanTimeToServiceOutageSpec(spec)
 	if err != nil {
 		return err
 	}

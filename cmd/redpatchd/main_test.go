@@ -76,15 +76,22 @@ func TestHealthz(t *testing.T) {
 
 func TestEvaluateEndpoint(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"name":"base","dns":1,"web":2,"app":2,"db":1}`)
+	w := do(t, h, http.MethodPost, "/api/v2/evaluate", `{"spec":`+classicSpecJSON+`}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
-	var rep redpatch.DesignReport
-	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+	var resp struct {
+		Scenario string                `json:"scenario"`
+		Report   redpatch.DesignReport `json:"report"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Servers != 6 || rep.COA < 0.99 || rep.COA > 1 {
+	if resp.Scenario != defaultScenario {
+		t.Fatalf("scenario = %q", resp.Scenario)
+	}
+	rep := resp.Report
+	if rep.Name != "base" || rep.Servers != 6 || rep.COA < 0.99 || rep.COA > 1 {
 		t.Fatalf("implausible report: %+v", rep)
 	}
 	if rep.Description != "1 DNS + 2 WEB + 2 APP + 1 DB" {
@@ -92,58 +99,29 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 
 	// A request without a name gets the canonical one.
-	w = do(t, h, http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":2,"app":2,"db":1}`)
+	w = do(t, h, http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[
+		{"role":"dns","replicas":1},{"role":"web","replicas":2},
+		{"role":"app","replicas":2},{"role":"db","replicas":1}]}}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Name != "1d2w2a1b" {
-		t.Fatalf("name = %q", rep.Name)
+	if resp.Report.Name != "1d2w2a1b" {
+		t.Fatalf("name = %q", resp.Report.Name)
 	}
 }
 
-func TestEvaluateRejectsBadRequests(t *testing.T) {
-	h := testServer(t).handler()
-	for name, tc := range map[string]struct {
-		method, path, body string
-		wantStatus         int
-	}{
-		"malformed json":   {http.MethodPost, "/api/v1/evaluate", `{"dns":`, http.StatusBadRequest},
-		"unknown field":    {http.MethodPost, "/api/v1/evaluate", `{"dnss":1}`, http.StatusBadRequest},
-		"trailing garbage": {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}{}`, http.StatusBadRequest},
-		"trailing bracket": {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}]`, http.StatusBadRequest},
-		"trailing brace":   {http.MethodPost, "/api/v1/evaluate", `{"dns":1,"web":1,"app":1,"db":1}}`, http.StatusBadRequest},
-		"v2 trailing bracket": {http.MethodPost, "/api/v2/evaluate",
-			`{"spec":{"tiers":[{"role":"dns","replicas":1}]}}]`, http.StatusBadRequest},
-		"trailing whitespace": {http.MethodPost, "/api/v1/evaluate", "{\"dns\":1,\"web\":1,\"app\":1,\"db\":1} \n\t", http.StatusOK},
-		"zero replicas":       {http.MethodPost, "/api/v1/evaluate", `{"dns":0,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
-		"wrong type":          {http.MethodPost, "/api/v1/evaluate", `{"dns":"one"}`, http.StatusBadRequest},
-		"huge evaluate":       {http.MethodPost, "/api/v1/evaluate", `{"dns":1000000,"web":1,"app":1,"db":1}`, http.StatusBadRequest},
-		"huge sweep tier":     {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":4000,"max":4000}}`, http.StatusBadRequest},
-		"huge min only":       {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":100,"max":0}}`, http.StatusBadRequest},
-		"GET evaluate":        {http.MethodGet, "/api/v1/evaluate", ``, http.StatusMethodNotAllowed},
-		"POST healthz":        {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
-		"sweep bad json":      {http.MethodPost, "/api/v1/sweep", `[1,2]`, http.StatusBadRequest},
-		"sweep inverted":      {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":3,"max":1}}`, http.StatusBadRequest},
-		"sweep above cap":     {http.MethodPost, "/api/v1/sweep", `{"maxPerTier":9}`, http.StatusBadRequest},
-		"sweep overflow": {http.MethodPost, "/api/v1/sweep",
-			`{"dns":{"min":1,"max":65536},"web":{"min":1,"max":65536},"app":{"min":1,"max":65536},"db":{"min":1,"max":65536}}`,
-			http.StatusBadRequest},
-		"pareto bad json":   {http.MethodPost, "/api/v1/pareto", `nope`, http.StatusBadRequest},
-		"unknown endpoint":  {http.MethodGet, "/api/v1/nope", ``, http.StatusNotFound},
-		"negative range":    {http.MethodPost, "/api/v1/sweep", `{"dns":{"min":-1,"max":2}}`, http.StatusBadRequest},
-		"sweep wrong shape": {http.MethodPost, "/api/v1/sweep", `{"scatter":{"maxAsp":"high"}}`, http.StatusBadRequest},
-	} {
-		w := do(t, h, tc.method, tc.path, tc.body)
-		if w.Code != tc.wantStatus {
-			t.Errorf("%s: status = %d, want %d (%s)", name, w.Code, tc.wantStatus, w.Body)
-		}
-	}
-}
+// sweep16 opens the v2 sweep body of the 16-design space (1..2 replicas
+// on each paper tier); callers append any bounds and the closing brace.
+const sweep16 = `{"tiers":[
+	{"role":"dns","min":1,"max":2},
+	{"role":"web","min":1,"max":2},
+	{"role":"app","min":1,"max":2},
+	{"role":"db","min":1,"max":2}]`
 
-// sweepResponse is the wire shape of /api/v1/sweep.
+// sweepResponse is the wire shape of /api/v2/sweep.
 type sweepResponse struct {
 	Total   int                     `json:"total"`
 	Kept    int                     `json:"kept"`
@@ -172,7 +150,7 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := httptest.NewRequest(http.MethodPost, "/api/v1/sweep", strings.NewReader(`{"maxPerTier":4}`))
+			req := httptest.NewRequest(http.MethodPost, "/api/v2/sweep", strings.NewReader(sweep256))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {
@@ -201,7 +179,7 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 
 	// A repeat sweep is all cache: zero new solves.
 	before := s.study.EngineStats()
-	w := do(t, h, http.MethodPost, "/api/v1/sweep", `{"maxPerTier":4}`)
+	w := do(t, h, http.MethodPost, "/api/v2/sweep", sweep256)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
@@ -216,8 +194,8 @@ func TestSweepFullRangeConcurrently(t *testing.T) {
 
 func TestSweepWithBounds(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v1/sweep",
-		`{"maxPerTier":2,"scatter":{"maxAsp":0.2,"minCoa":0.9962}}`)
+	w := do(t, h, http.MethodPost, "/api/v2/sweep",
+		sweep16+`,"scatter":{"maxAsp":0.2,"minCoa":0.9962}}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
@@ -240,8 +218,9 @@ func TestSweepWithBounds(t *testing.T) {
 
 func TestSweepPerTierRanges(t *testing.T) {
 	h := testServer(t).handler()
-	w := do(t, h, http.MethodPost, "/api/v1/sweep",
-		`{"dns":{"min":1,"max":1},"web":{"min":1,"max":3},"app":{"min":2,"max":2},"db":{"min":1,"max":1}}`)
+	w := do(t, h, http.MethodPost, "/api/v2/sweep", `{"tiers":[
+		{"role":"dns","min":1,"max":1},{"role":"web","min":1,"max":3},
+		{"role":"app","min":2,"max":2},{"role":"db","min":1,"max":1}]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
@@ -262,7 +241,7 @@ func TestSweepPerTierRanges(t *testing.T) {
 func TestParetoEndpoint(t *testing.T) {
 	s := testServer(t)
 	h := s.handler()
-	w := do(t, h, http.MethodPost, "/api/v1/pareto", `{"maxPerTier":2}`)
+	w := do(t, h, http.MethodPost, "/api/v2/pareto", sweep16+"}")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body)
 	}
@@ -327,7 +306,9 @@ func TestPprofOptIn(t *testing.T) {
 // block must report the factored-solver dispatch counters.
 func TestHealthzSolverCounters(t *testing.T) {
 	h := testServer(t).handler()
-	if w := do(t, h, http.MethodPost, "/api/v1/evaluate", `{"name":"c1","dns":1,"web":1,"app":2,"db":1}`); w.Code != http.StatusOK {
+	if w := do(t, h, http.MethodPost, "/api/v2/evaluate", `{"spec":{"name":"c1","tiers":[
+		{"role":"dns","replicas":1},{"role":"web","replicas":1},
+		{"role":"app","replicas":2},{"role":"db","replicas":1}]}}`); w.Code != http.StatusOK {
 		t.Fatalf("evaluate status = %d: %s", w.Code, w.Body)
 	}
 	w := do(t, h, http.MethodGet, "/healthz", "")
@@ -342,9 +323,6 @@ func TestHealthzSolverCounters(t *testing.T) {
 	}
 	if body.Engine.FactoredSolves == 0 {
 		t.Errorf("factoredSolves = 0 after an evaluation: %+v", body.Engine)
-	}
-	if body.Engine.SRNSolves != 0 {
-		t.Errorf("srnSolves = %d, want 0 (PerServer models)", body.Engine.SRNSolves)
 	}
 	if body.Engine.TierSolves == 0 || body.Engine.TierSolves > 4*body.Engine.FactoredSolves {
 		t.Errorf("tierSolves = %d out of plausible range: %+v", body.Engine.TierSolves, body.Engine)

@@ -1,8 +1,12 @@
-// Enterprise: the paper's full case study driven through the generic
-// three-phase pipeline of internal/core — exactly the workflow of the
-// paper's Fig. 1, from raw inputs (topology, vulnerability database,
-// failure behaviours, patch schedule) to the combined security and
-// availability report, including the intermediate models.
+// Enterprise: the paper's full case study walked through the three
+// phases of its Fig. 1 — data input (topology, vulnerability database,
+// attack trees, patch policy and schedule), model construction (the
+// two-layered HARM before and after the patch round, the per-role
+// lower-layer availability models and the upper-layer network model)
+// and evaluation — printing each intermediate model on the way to the
+// combined security and availability report. The security models are
+// built with internal/harm; the availability models and the final
+// evaluation come from the same redundancy.Evaluator the facade uses.
 package main
 
 import (
@@ -10,13 +14,11 @@ import (
 	"log"
 
 	"redpatch/internal/attacktree"
-	"redpatch/internal/availability"
-	"redpatch/internal/core"
 	"redpatch/internal/harm"
 	"redpatch/internal/paperdata"
 	"redpatch/internal/patch"
+	"redpatch/internal/redundancy"
 	"redpatch/internal/report"
-	"redpatch/internal/vulndb"
 )
 
 func main() {
@@ -28,37 +30,26 @@ func main() {
 func run() error {
 	// ---- Phase 1: data input -------------------------------------------
 	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
+	spec := paperdata.BaseDesign().Spec()
+	top, err := paperdata.SpecTopology(spec)
 	if err != nil {
 		return err
 	}
-	roleVulns := make(map[string][]vulndb.Vulnerability)
-	rates := make(map[string]availability.ServerParams)
-	for _, role := range paperdata.Roles() {
-		vulns, err := paperdata.VulnsForRole(db, role)
-		if err != nil {
-			return err
-		}
-		roleVulns[role] = vulns
-		rates[role] = availability.DefaultRates(role)
-	}
-	pipeline, err := core.NewPipeline(core.Inputs{
+	policy := patch.CriticalPolicy()
+
+	// ---- Phase 2: model construction -----------------------------------
+	before, err := harm.Build(harm.BuildInput{
 		Topology:    top,
-		DB:          db,
 		Trees:       paperdata.Trees(db),
-		RoleVulns:   roleVulns,
-		TargetRoles: []string{paperdata.RoleDB},
-		Rates:       rates,
-		Policy:      patch.CriticalPolicy(),
-		Schedule:    patch.MonthlySchedule(),
-		Eval:        harm.EvalOptions{Strategy: harm.ASPCompromise, ORRule: attacktree.ORNoisy},
+		TargetRoles: spec.TargetStacks(),
 	})
 	if err != nil {
 		return err
 	}
-
-	// ---- Phase 2: model construction -----------------------------------
-	before, after, err := pipeline.BuildSecurityModels()
+	after, err := before.Patched(func(_ string, l *attacktree.Leaf) bool {
+		v, ok := db.ByID(l.Ref)
+		return !ok || !policy.Selects(v)
+	})
 	if err != nil {
 		return err
 	}
@@ -70,30 +61,37 @@ func run() error {
 	}
 	fmt.Println()
 
-	nm, roleReports, err := pipeline.BuildAvailabilityModel()
+	// The evaluator solves the lower-layer model of every role under the
+	// critical policy and the monthly schedule when it is built.
+	eval, err := redundancy.NewEvaluator(redundancy.Options{Policy: &policy})
 	if err != nil {
 		return err
 	}
+	rates, plans := eval.AggregatedRates(), eval.Plans()
 	tbl := report.NewTable("availability models (lower-layer SRNs, aggregated)",
-		"role", "replicas", "patch window", "tangible states", "MTTR (h)", "recovery rate")
-	for _, rr := range roleReports {
-		tbl.AddRow(rr.Role, report.I(rr.Replicas), rr.Plan.TotalDowntime().String(),
-			report.I(rr.Solution.Tangible), report.F(rr.Rates.MTTR(), 4), report.F(rr.Rates.MuEq, 5))
+		"role", "replicas", "patch window", "MTTR (h)", "recovery rate")
+	for _, t := range spec.Tiers {
+		tbl.AddRow(t.Role, report.I(t.Replicas), plans[t.Role].TotalDowntime().String(),
+			report.F(rates[t.Role].MTTR(), 4), report.F(rates[t.Role].MuEq, 5))
 	}
 	fmt.Println(tbl.Render())
+	nm, err := eval.NetworkModelFor(spec)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("upper-layer network model: %d tiers, %d servers\n\n", len(nm.Tiers), nm.TotalServers())
 
 	// ---- Phase 3: evaluation -------------------------------------------
-	rep, err := pipeline.Evaluate()
+	rep, err := eval.EvaluateSpec(spec)
 	if err != nil {
 		return err
 	}
 	out := report.NewTable("combined evaluation", "measure", "before patch", "after patch")
-	out.AddRow("AIM", report.F(rep.SecurityBefore.AIM, 1), report.F(rep.SecurityAfter.AIM, 1))
-	out.AddRow("ASP", report.F(rep.SecurityBefore.ASP, 4), report.F(rep.SecurityAfter.ASP, 4))
-	out.AddRow("NoEV", report.I(rep.SecurityBefore.NoEV), report.I(rep.SecurityAfter.NoEV))
-	out.AddRow("NoAP", report.I(rep.SecurityBefore.NoAP), report.I(rep.SecurityAfter.NoAP))
-	out.AddRow("NoEP", report.I(rep.SecurityBefore.NoEP), report.I(rep.SecurityAfter.NoEP))
+	out.AddRow("AIM", report.F(rep.Before.AIM, 1), report.F(rep.After.AIM, 1))
+	out.AddRow("ASP", report.F(rep.Before.ASP, 4), report.F(rep.After.ASP, 4))
+	out.AddRow("NoEV", report.I(rep.Before.NoEV), report.I(rep.After.NoEV))
+	out.AddRow("NoAP", report.I(rep.Before.NoAP), report.I(rep.After.NoAP))
+	out.AddRow("NoEP", report.I(rep.Before.NoEP), report.I(rep.After.NoEP))
 	fmt.Println(out.Render())
 	fmt.Printf("capacity oriented availability: %.5f (paper: 0.99707)\n", rep.COA)
 	fmt.Printf("service availability:           %.5f\n", rep.ServiceAvailability)

@@ -13,7 +13,6 @@ import (
 
 	"redpatch/internal/attacktree"
 	"redpatch/internal/availability"
-	"redpatch/internal/core"
 	"redpatch/internal/harm"
 	"redpatch/internal/mathx"
 	"redpatch/internal/paperdata"
@@ -22,8 +21,6 @@ import (
 	"redpatch/internal/report"
 	"redpatch/internal/sim"
 	"redpatch/internal/srn"
-	"redpatch/internal/topology"
-	"redpatch/internal/vulndb"
 )
 
 // paperEvalOptions is the HARM configuration used for all experiments:
@@ -673,59 +670,4 @@ func TestExperimentE13_Campaign(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestExperimentParityWithInternalPipeline guards against the facade and
-// the generic core pipeline drifting apart.
-func TestExperimentParityWithInternalPipeline(t *testing.T) {
-	s, _ := caseStudy(t)
-	base, err := s.BaseNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := paperdata.VulnDB()
-	top, err := paperdata.Topology(paperdata.BaseDesign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	roleVulns := make(map[string][]vulndb.Vulnerability)
-	rates := make(map[string]availability.ServerParams)
-	for _, role := range paperdata.Roles() {
-		vulns, err := paperdata.VulnsForRole(db, role)
-		if err != nil {
-			t.Fatal(err)
-		}
-		roleVulns[role] = vulns
-		rates[role] = availability.DefaultRates(role)
-	}
-	pipe, err := newCorePipeline(top, db, roleVulns, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := pipe.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.AlmostEqual(rep.COA, base.COA, 1e-9) {
-		t.Errorf("core pipeline COA %.9f != facade COA %.9f", rep.COA, base.COA)
-	}
-	if rep.SecurityAfter.NoEV != base.After.NoEV || !mathx.AlmostEqual(rep.SecurityAfter.ASP, base.After.ASP, 1e-12) {
-		t.Error("core pipeline and facade disagree on security metrics")
-	}
-}
-
-// newCorePipeline wires the case-study inputs through the generic Fig. 1
-// pipeline of internal/core.
-func newCorePipeline(top *topology.Topology, db *vulndb.DB, roleVulns map[string][]vulndb.Vulnerability, rates map[string]availability.ServerParams) (*core.Pipeline, error) {
-	return core.NewPipeline(core.Inputs{
-		Topology:    top,
-		DB:          db,
-		Trees:       paperdata.Trees(db),
-		RoleVulns:   roleVulns,
-		TargetRoles: []string{paperdata.RoleDB},
-		Rates:       rates,
-		Policy:      patch.CriticalPolicy(),
-		Schedule:    patch.MonthlySchedule(),
-		Eval:        paperEvalOptions,
-	})
 }

@@ -71,9 +71,6 @@ type Stats struct {
 	// FactoredSolves is the number of network availability models
 	// answered by the factored (per-tier birth–death) solver.
 	FactoredSolves uint64 `json:"factoredSolves"`
-	// SRNSolves is the number that generated and eliminated the full
-	// SRN.
-	SRNSolves uint64 `json:"srnSolves"`
 	// TierSolves is the number of distinct (stack, replicas) tier
 	// factors solved behind the factored path; TierFactorHits the number
 	// served from the memo.
@@ -170,7 +167,6 @@ func (g *Engine) Stats() Stats {
 	if p, ok := g.eval.(SolverStatsProvider); ok {
 		ss := p.SolverStats()
 		st.FactoredSolves = ss.FactoredSolves
-		st.SRNSolves = ss.SRNSolves
 		st.TierSolves = ss.TierSolves
 		st.TierFactorHits = ss.TierFactorHits
 		st.SecurityFactored = ss.SecurityFactored

@@ -63,10 +63,11 @@ func (t TierSweep) options() []string {
 // Index. Shards are disjoint and cover the space, so a coordinator
 // that runs every shard exactly once evaluates exactly the unsharded
 // sweep — partitioning is by canonical spec key, independent of
-// enumeration order or worker count.
+// enumeration order or worker count. The JSON tags are the redpatchd
+// v2 wire shape (the cluster worker RPC).
 type SweepShard struct {
-	Index int
-	Count int
+	Index int `json:"index"`
+	Count int `json:"count"`
 }
 
 // SweepSpec describes a design-space sweep: an ordered list of tier
@@ -98,7 +99,7 @@ func FullSpace(maxPerTier int) SweepSpec {
 }
 
 // ClassicSpace builds the paper's fixed four-tier sweep from per-tier
-// replica ranges — the shape the deprecated 4-int API sweeps.
+// replica ranges.
 func ClassicSpace(dns, web, app, db Range) SweepSpec {
 	return SweepSpec{Tiers: []TierSweep{
 		{Role: paperdata.RoleDNS, Replicas: dns},

@@ -203,8 +203,9 @@ func (s DesignSpec) classic() (Design, bool) {
 }
 
 // CanonicalName is the compact default name of a spec: the classic
-// "1d2w2a1b" scheme for homogeneous four-tier designs (shared with the
-// 4-int API), and a role-keyed "1dns-2web/webalt-..." form otherwise.
+// "1d2w2a1b" scheme for homogeneous four-tier designs (shared with
+// Design and DefaultName), and a role-keyed "1dns-2web/webalt-..." form
+// otherwise.
 func (s DesignSpec) CanonicalName() string {
 	if d, ok := s.classic(); ok {
 		return DefaultName(d.DNS, d.Web, d.App, d.DB)

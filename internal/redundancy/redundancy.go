@@ -66,7 +66,6 @@ type Evaluator struct {
 
 	// Solver dispatch counters (see SolverStats).
 	factoredSolves   atomic.Uint64
-	srnSolves        atomic.Uint64
 	tierSolves       atomic.Uint64
 	tierFactorHits   atomic.Uint64
 	securityFactored atomic.Uint64
@@ -662,9 +661,6 @@ type SolverStats struct {
 	// FactoredSolves is the number of network solves served by the
 	// factored (per-tier birth–death) path.
 	FactoredSolves uint64
-	// SRNSolves is the number of network solves that generated and
-	// eliminated the full SRN (SingleRepair models).
-	SRNSolves uint64
 	// TierSolves is the number of per-(stack, replicas) tier factors
 	// solved — the cache-miss count.
 	TierSolves uint64
@@ -696,7 +692,6 @@ type SolverStats struct {
 func (e *Evaluator) SolverStats() SolverStats {
 	return SolverStats{
 		FactoredSolves:     e.factoredSolves.Load(),
-		SRNSolves:          e.srnSolves.Load(),
 		TierSolves:         e.tierSolves.Load(),
 		TierFactorHits:     e.tierFactorHits.Load(),
 		SecurityFactored:   e.securityFactored.Load(),
@@ -797,10 +792,11 @@ func (e *Evaluator) EvaluateAll(designs []paperdata.Design) ([]Result, error) {
 }
 
 // ScatterBounds are the administrator bounds of the paper's Eq. 3:
-// an upper bound phi on ASP and a lower bound psi on COA.
+// an upper bound phi on ASP and a lower bound psi on COA. The JSON tags
+// are the redpatchd v2 wire shape.
 type ScatterBounds struct {
-	MaxASP float64 // phi
-	MinCOA float64 // psi
+	MaxASP float64 `json:"maxAsp"` // phi
+	MinCOA float64 `json:"minCoa"` // psi
 }
 
 // Satisfied implements Eq. 3 on the after-patch metrics: 1 iff
@@ -810,13 +806,14 @@ func (b ScatterBounds) Satisfied(r Result) bool {
 }
 
 // MultiBounds are the administrator bounds of the paper's Eq. 4: upper
-// bounds on ASP, NoEV, NoAP and NoEP plus a lower bound on COA.
+// bounds on ASP, NoEV, NoAP and NoEP plus a lower bound on COA. The
+// JSON tags are the redpatchd v2 wire shape.
 type MultiBounds struct {
-	MaxASP  float64 // phi
-	MaxNoEV int     // xi
-	MaxNoAP int     // omega
-	MaxNoEP int     // kappa
-	MinCOA  float64 // psi
+	MaxASP  float64 `json:"maxAsp"`  // phi
+	MaxNoEV int     `json:"maxNoev"` // xi
+	MaxNoAP int     `json:"maxNoap"` // omega
+	MaxNoEP int     `json:"maxNoep"` // kappa
+	MinCOA  float64 `json:"minCoa"`  // psi
 }
 
 // Satisfied implements Eq. 4 on the after-patch metrics.
@@ -826,64 +823,6 @@ func (b MultiBounds) Satisfied(r Result) bool {
 		r.After.NoAP <= b.MaxNoAP &&
 		r.After.NoEP <= b.MaxNoEP &&
 		r.COA >= b.MinCOA
-}
-
-// Bound is satisfied by both bounds types; filtering is generic over it.
-type Bound interface {
-	Satisfied(Result) bool
-}
-
-// Filter returns the results satisfying the bound, preserving order.
-func Filter(results []Result, b Bound) []Result {
-	var out []Result
-	for _, r := range results {
-		if b.Satisfied(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// CostModel monetizes a design per month, the economic extension the
-// paper lists in §V: fixed server cost, capacity-loss cost scaled by
-// (1 - COA), and expected breach loss scaled by the after-patch ASP.
-type CostModel struct {
-	// ServerPerMonth is the cost of operating one server for a month.
-	ServerPerMonth float64
-	// DowntimePerHour is the cost of one full-capacity-hour lost.
-	DowntimePerHour float64
-	// BreachLoss is the loss of a successful compromise, weighted by the
-	// after-patch attack success probability.
-	BreachLoss float64
-	// HoursPerMonth defaults to 720 when zero.
-	HoursPerMonth float64
-}
-
-// MonthlyCost evaluates the model for one design result.
-func (c CostModel) MonthlyCost(r Result) float64 {
-	hours := c.HoursPerMonth
-	if hours == 0 {
-		hours = 720
-	}
-	return c.ServerPerMonth*float64(r.Spec.Total()) +
-		c.DowntimePerHour*(1-r.COA)*hours +
-		c.BreachLoss*r.After.ASP
-}
-
-// Cheapest returns the result with the lowest monthly cost (ties keep the
-// earlier result). It errors on an empty slice.
-func (c CostModel) Cheapest(results []Result) (Result, error) {
-	if len(results) == 0 {
-		return Result{}, fmt.Errorf("redundancy: no results to cost")
-	}
-	best := results[0]
-	bestCost := c.MonthlyCost(best)
-	for _, r := range results[1:] {
-		if cost := c.MonthlyCost(r); cost < bestCost {
-			best, bestCost = r, cost
-		}
-	}
-	return best, nil
 }
 
 // EnumerateDesigns yields every design with 1..maxPerTier servers per

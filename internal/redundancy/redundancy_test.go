@@ -132,12 +132,12 @@ func TestPaperObservations(t *testing.T) {
 // psi 0.9961) selects D2 alone.
 func TestEquation3Regions(t *testing.T) {
 	_, results := evaluator(t)
-	region1 := Filter(results, ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962})
+	region1 := satisfying(results, ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}.Satisfied)
 	if len(region1) != 2 || region1[0].Spec.Name != "D4" || region1[1].Spec.Name != "D5" {
 		names := designNames(region1)
 		t.Errorf("region 1 = %v, want [D4 D5]", names)
 	}
-	region2 := Filter(results, ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961})
+	region2 := satisfying(results, ScatterBounds{MaxASP: 0.1, MinCOA: 0.9961}.Satisfied)
 	if len(region2) != 1 || region2[0].Spec.Name != "D2" {
 		t.Errorf("region 2 = %v, want [D2]", designNames(region2))
 	}
@@ -147,14 +147,25 @@ func TestEquation3Regions(t *testing.T) {
 // region 1 selects D4 alone; region 2 selects D2 alone.
 func TestEquation4Regions(t *testing.T) {
 	_, results := evaluator(t)
-	region1 := Filter(results, MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962})
+	region1 := satisfying(results, MultiBounds{MaxASP: 0.2, MaxNoEV: 9, MaxNoAP: 2, MaxNoEP: 1, MinCOA: 0.9962}.Satisfied)
 	if len(region1) != 1 || region1[0].Spec.Name != "D4" {
 		t.Errorf("region 1 = %v, want [D4]", designNames(region1))
 	}
-	region2 := Filter(results, MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961})
+	region2 := satisfying(results, MultiBounds{MaxASP: 0.1, MaxNoEV: 7, MaxNoAP: 1, MaxNoEP: 1, MinCOA: 0.9961}.Satisfied)
 	if len(region2) != 1 || region2[0].Spec.Name != "D2" {
 		t.Errorf("region 2 = %v, want [D2]", designNames(region2))
 	}
+}
+
+// satisfying returns the results ok accepts, preserving order.
+func satisfying(results []Result, ok func(Result) bool) []Result {
+	var out []Result
+	for _, r := range results {
+		if ok(r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func designNames(results []Result) []string {
@@ -163,29 +174,6 @@ func designNames(results []Result) []string {
 		out[i] = r.Spec.Name
 	}
 	return out
-}
-
-func TestCostModel(t *testing.T) {
-	_, results := evaluator(t)
-	c := CostModel{ServerPerMonth: 100, DowntimePerHour: 1000, BreachLoss: 10000}
-	d1 := byName(t, results, "D1")
-	cost := c.MonthlyCost(d1)
-	want := 100*4 + 1000*(1-d1.COA)*720 + 10000*d1.After.ASP
-	if !mathx.AlmostEqual(cost, want, 1e-9) {
-		t.Errorf("cost = %v, want %v", cost, want)
-	}
-	cheapest, err := c.Cheapest(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if c.MonthlyCost(r) < c.MonthlyCost(cheapest) {
-			t.Errorf("Cheapest missed %s", r.Spec.Name)
-		}
-	}
-	if _, err := c.Cheapest(nil); err == nil {
-		t.Error("Cheapest of empty slice should fail")
-	}
 }
 
 func TestEnumerateDesigns(t *testing.T) {
@@ -250,6 +238,39 @@ func TestPatchAllPolicyZeroesSecurityMetrics(t *testing.T) {
 	critD1 := byName(t, critResults, "D1")
 	if r.COA >= critD1.COA {
 		t.Errorf("patching more vulnerabilities must cost more availability: %v vs %v", r.COA, critD1.COA)
+	}
+}
+
+// TestPolicyWithoutSelectionsNeverPatches: a policy that selects no
+// vulnerability (no CVSS base score exceeds 10) leaves every stack with
+// an empty plan and zero patch rate, so every tier stays fully up and
+// nothing is patched away.
+func TestPolicyWithoutSelectionsNeverPatches(t *testing.T) {
+	pol := patch.Policy{CriticalThreshold: 10}
+	e, err := NewEvaluator(Options{Policy: &pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for role, plan := range e.Plans() {
+		if plan.RequiresPatch() {
+			t.Errorf("%s plan requires a patch", role)
+		}
+	}
+	for role, a := range e.AggregatedRates() {
+		if a.LambdaEq != 0 {
+			t.Errorf("%s patch rate = %v, want 0", role, a.LambdaEq)
+		}
+	}
+	r, err := e.Evaluate(paperdata.BaseDesign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.COA != 1 || r.ServiceAvailability != 1 {
+		t.Errorf("COA = %v, service availability = %v; want 1 for a network that never patches",
+			r.COA, r.ServiceAvailability)
+	}
+	if r.After.NoEV != r.Before.NoEV || r.After.ASP != r.Before.ASP {
+		t.Errorf("nothing patched, yet the attack surface changed: %+v -> %+v", r.Before, r.After)
 	}
 }
 
@@ -473,8 +494,7 @@ func TestPlanCampaignUsesEvaluatorPolicy(t *testing.T) {
 
 // TestTierFactorMemo pins the factored-availability bookkeeping: a fresh
 // evaluator solves one tier factor per distinct (stack, replicas) pair,
-// serves repeats from the memo, and never touches the SRN path for the
-// PerServer models it builds.
+// and serves repeats from the memo.
 func TestTierFactorMemo(t *testing.T) {
 	e, err := NewEvaluator(Options{})
 	if err != nil {
@@ -488,7 +508,7 @@ func TestTierFactorMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.SolverStats()
-	if st.FactoredSolves != 1 || st.TierSolves != 4 || st.TierFactorHits != 0 || st.SRNSolves != 0 {
+	if st.FactoredSolves != 1 || st.TierSolves != 4 || st.TierFactorHits != 0 {
 		t.Fatalf("after base design: stats = %+v, want 1 factored / 4 tier solves", st)
 	}
 	// Same replica multiset again (different name): all four factors hit.

@@ -14,9 +14,8 @@
 //
 // Designs are described by role-keyed DesignSpecs — ordered tier groups
 // with replica counts and optional stack variants — evaluated through
-// EvaluateSpec and swept through SweepSpec. The fixed 4-int methods
-// (EvaluateDesign, Sweep, ...) remain as thin deprecated wrappers over
-// the spec path.
+// EvaluateSpec and swept through SweepSpec; ClassicSpec builds the
+// paper's fixed four-tier spec from a replica tuple.
 //
 //	study, err := redpatch.NewCaseStudy()
 //	r, err := study.EvaluateSpec(redpatch.DesignSpec{Name: "mine", Tiers: []redpatch.TierSpec{
@@ -84,8 +83,7 @@ type TierSpec = paperdata.TierSpec
 type DesignSpec = paperdata.DesignSpec
 
 // ClassicSpec builds the paper's four-tier homogeneous spec from the
-// classic replica tuple — the shape every deprecated 4-int method
-// evaluates.
+// classic (dns, web, app, db) replica tuple.
 func ClassicSpec(name string, dns, web, app, db int) DesignSpec {
 	return paperdata.Design{Name: name, DNS: dns, Web: web, App: app, DB: db}.Spec()
 }
@@ -290,16 +288,6 @@ func (s *CaseStudy) EvaluateSpecCtx(ctx context.Context, spec DesignSpec) (Desig
 	return convert(r), nil
 }
 
-// EvaluateDesign evaluates a classic design given per-tier replica
-// counts (each at least 1).
-//
-// Deprecated: use EvaluateSpec, which also expresses arbitrary tier
-// chains and heterogeneous variants. This wrapper evaluates the
-// equivalent four-tier spec and produces an identical report.
-func (s *CaseStudy) EvaluateDesign(name string, dns, web, app, db int) (DesignReport, error) {
-	return s.EvaluateSpec(ClassicSpec(name, dns, web, app, db))
-}
-
 // PaperDesigns evaluates the five design choices of the paper's §IV in
 // order (D1..D5).
 func (s *CaseStudy) PaperDesigns() ([]DesignReport, error) {
@@ -361,21 +349,13 @@ func convert(r redundancy.Result) DesignReport {
 }
 
 // ScatterBounds are the Eq. 3 administrator bounds: an ASP ceiling (phi)
-// and a COA floor (psi). The JSON tags are the redpatchd v2 wire shape.
-type ScatterBounds struct {
-	MaxASP float64 `json:"maxAsp"`
-	MinCOA float64 `json:"minCoa"`
-}
+// and a COA floor (psi). It is redundancy.ScatterBounds, wire tags
+// included.
+type ScatterBounds = redundancy.ScatterBounds
 
 // MultiBounds are the Eq. 4 administrator bounds over four security
-// metrics and COA. The JSON tags are the redpatchd v2 wire shape.
-type MultiBounds struct {
-	MaxASP  float64 `json:"maxAsp"`
-	MaxNoEV int     `json:"maxNoev"`
-	MaxNoAP int     `json:"maxNoap"`
-	MaxNoEP int     `json:"maxNoep"`
-	MinCOA  float64 `json:"minCoa"`
-}
+// metrics and COA. It is redundancy.MultiBounds, wire tags included.
+type MultiBounds = redundancy.MultiBounds
 
 // SatisfiesScatter implements the paper's Eq. 3 on a design report.
 func SatisfiesScatter(r DesignReport, b ScatterBounds) bool {
@@ -496,14 +476,6 @@ func (s *CaseStudy) RankPatchesSpec(spec DesignSpec) ([]PatchPriority, error) {
 	return out, nil
 }
 
-// RankPatches ranks the policy-selected vulnerabilities of a classic
-// design.
-//
-// Deprecated: use RankPatchesSpec.
-func (s *CaseStudy) RankPatches(name string, dns, web, app, db int) ([]PatchPriority, error) {
-	return s.RankPatchesSpec(ClassicSpec(name, dns, web, app, db))
-}
-
 // CampaignRound is one maintenance round of a patch campaign.
 type CampaignRound struct {
 	// CVEs are the vulnerabilities patched in the round.
@@ -584,13 +556,6 @@ func (s *CaseStudy) MeanTimeToServiceOutageSpec(spec DesignSpec) (float64, error
 	return availability.MeanTimeToServiceDown(nm)
 }
 
-// MeanTimeToServiceOutage is the classic-tuple MeanTimeToServiceOutageSpec.
-//
-// Deprecated: use MeanTimeToServiceOutageSpec.
-func (s *CaseStudy) MeanTimeToServiceOutage(name string, dns, web, app, db int) (float64, error) {
-	return s.MeanTimeToServiceOutageSpec(ClassicSpec(name, dns, web, app, db))
-}
-
 // EnumerateDesigns evaluates every design with 1..maxPerTier replicas per
 // tier (the larger design spaces of §V), concurrently and cached.
 func (s *CaseStudy) EnumerateDesigns(maxPerTier int) ([]DesignReport, error) {
@@ -608,12 +573,6 @@ func (s *CaseStudy) EnumerateDesigns(maxPerTier int) ([]DesignReport, error) {
 	return out, nil
 }
 
-// SweepRange is an inclusive per-tier replica range; the zero value means
-// "exactly one replica".
-type SweepRange struct {
-	Min, Max int
-}
-
 // TierSweep is one tier of a role-keyed sweep: an inclusive replica
 // range plus the stack variants to enumerate. An empty Variants set
 // sweeps the role's own stack only; listing variants (the empty string
@@ -627,15 +586,9 @@ type TierSweep struct {
 }
 
 // SweepShard restricts a sweep to one hash partition of its design
-// space: the designs whose paperdata.ShardIndex(spec.Key(), Count)
-// equals Index. Shards are disjoint and cover the space — a
-// coordinator that runs every shard exactly once evaluates exactly
-// the unsharded sweep. The JSON tags are the redpatchd v2 wire shape
-// (the cluster worker RPC).
-type SweepShard struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
+// space (see engine.SweepShard, whose wire tags are the cluster worker
+// RPC shape).
+type SweepShard = engine.SweepShard
 
 // SpecSweepRequest describes a role-keyed design-space sweep: an ordered
 // list of tier sweeps plus optional administrator bounds. Designs
@@ -654,25 +607,18 @@ type SpecSweepRequest struct {
 }
 
 func (r SpecSweepRequest) spec() engine.SweepSpec {
-	spec := engine.SweepSpec{Tiers: make([]engine.TierSweep, len(r.Tiers))}
+	spec := engine.SweepSpec{
+		Tiers:   make([]engine.TierSweep, len(r.Tiers)),
+		Scatter: r.Scatter,
+		Multi:   r.Multi,
+		Shard:   r.Shard,
+	}
 	for i, t := range r.Tiers {
 		spec.Tiers[i] = engine.TierSweep{
 			Role:     t.Role,
 			Replicas: engine.Range{Min: t.Min, Max: t.Max},
 			Variants: t.Variants,
 		}
-	}
-	if r.Scatter != nil {
-		spec.Scatter = &redundancy.ScatterBounds{MaxASP: r.Scatter.MaxASP, MinCOA: r.Scatter.MinCOA}
-	}
-	if r.Multi != nil {
-		spec.Multi = &redundancy.MultiBounds{
-			MaxASP: r.Multi.MaxASP, MaxNoEV: r.Multi.MaxNoEV,
-			MaxNoAP: r.Multi.MaxNoAP, MaxNoEP: r.Multi.MaxNoEP, MinCOA: r.Multi.MinCOA,
-		}
-	}
-	if r.Shard != nil {
-		spec.Shard = &engine.SweepShard{Index: r.Shard.Index, Count: r.Shard.Count}
 	}
 	return spec
 }
@@ -685,59 +631,13 @@ func (r SpecSweepRequest) SweepSize() int { return r.spec().Size() }
 // and nonsensical replica ranges.
 func (r SpecSweepRequest) Validate() error { return r.spec().Validate() }
 
-// SweepRequest describes a classic design-space sweep: a replica range
-// per fixed tier plus optional administrator bounds.
-//
-// Deprecated: use SpecSweepRequest, which also sweeps arbitrary tier
-// chains and variant sets. A SweepRequest sweeps the equivalent
-// four-tier spec with identical results.
-type SweepRequest struct {
-	DNS, Web, App, DB SweepRange
-	// Scatter, when non-nil, applies the Eq. 3 bounds.
-	Scatter *ScatterBounds
-	// Multi, when non-nil, applies the Eq. 4 bounds.
-	Multi *MultiBounds
-}
-
-// FullSweep requests every design with 1..maxPerTier replicas per tier.
-// maxPerTier < 1 yields a request that fails Validate (and therefore
-// Sweep) instead of silently sweeping a single design.
-func FullSweep(maxPerTier int) SweepRequest {
-	r := SweepRange{Min: 1, Max: maxPerTier}
-	if maxPerTier < 1 {
-		r = SweepRange{Min: 1, Max: -1}
-	}
-	return SweepRequest{DNS: r, Web: r, App: r, DB: r}
-}
-
-// Spec converts the classic request into its role-keyed equivalent.
-func (r SweepRequest) Spec() SpecSweepRequest {
-	return SpecSweepRequest{
-		Tiers: []TierSweep{
-			{Role: paperdata.RoleDNS, Min: r.DNS.Min, Max: r.DNS.Max},
-			{Role: paperdata.RoleWeb, Min: r.Web.Min, Max: r.Web.Max},
-			{Role: paperdata.RoleApp, Min: r.App.Min, Max: r.App.Max},
-			{Role: paperdata.RoleDB, Min: r.DB.Min, Max: r.DB.Max},
-		},
-		Scatter: r.Scatter,
-		Multi:   r.Multi,
-	}
-}
-
-// SweepSize returns the number of designs a request enumerates, without
-// evaluating any.
-func (r SweepRequest) SweepSize() int { return r.Spec().SweepSize() }
-
-// Validate rejects nonsensical replica ranges (negative or inverted).
-func (r SweepRequest) Validate() error { return r.Spec().Validate() }
-
 // SweepSummary is a completed sweep.
 type SweepSummary struct {
 	// Total is the number of designs enumerated and evaluated (possibly
 	// from cache).
 	Total int
 	// Reports are the designs passing the request's bounds, in
-	// lexicographic (dns, web, app, db) enumeration order.
+	// lexicographic enumeration order over the request's tiers.
 	Reports []DesignReport
 	// Pareto is the (minimize after-patch ASP, maximize COA) front over
 	// Reports, sorted by ascending ASP.
@@ -803,28 +703,6 @@ func (s *CaseStudy) SweepSpecEachProgress(ctx context.Context, req SpecSweepRequ
 	return s.eng.SweepFuncProgress(ctx, req.spec(), func(r redundancy.Result) error {
 		return fn(convert(r))
 	}, progress, idle)
-}
-
-// Sweep evaluates a classic design space.
-//
-// Deprecated: use SweepSpec.
-func (s *CaseStudy) Sweep(ctx context.Context, req SweepRequest) (SweepSummary, error) {
-	return s.SweepSpec(ctx, req.Spec())
-}
-
-// SweepPareto evaluates a classic design space, returning only the
-// Pareto front.
-//
-// Deprecated: use SweepSpecPareto.
-func (s *CaseStudy) SweepPareto(ctx context.Context, req SweepRequest) (int, []DesignReport, error) {
-	return s.SweepSpecPareto(ctx, req.Spec())
-}
-
-// SweepEach streams a classic design space.
-//
-// Deprecated: use SweepSpecEach.
-func (s *CaseStudy) SweepEach(ctx context.Context, req SweepRequest, fn func(DesignReport) error) (int, error) {
-	return s.SweepSpecEach(ctx, req.Spec(), fn)
 }
 
 // EngineStats is the engine's cache and solver-dispatch counters;

@@ -161,7 +161,7 @@ func TestCostModel(t *testing.T) {
 
 func TestEvaluateDesignValidation(t *testing.T) {
 	s, _ := caseStudy(t)
-	if _, err := s.EvaluateDesign("bad", 0, 1, 1, 1); err == nil {
+	if _, err := s.EvaluateSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
 		t.Error("zero-replica tier should fail")
 	}
 }
@@ -182,7 +182,7 @@ func TestEnumerateDesigns(t *testing.T) {
 
 func TestRankPatches(t *testing.T) {
 	s, _ := caseStudy(t)
-	ranked, err := s.RankPatches("base", 1, 2, 2, 1)
+	ranked, err := s.RankPatchesSpec(ClassicSpec("base", 1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRankPatches(t *testing.T) {
 			t.Error("ranking must be sorted by descending risk reduction")
 		}
 	}
-	if _, err := s.RankPatches("bad", 0, 1, 1, 1); err == nil {
+	if _, err := s.RankPatchesSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
 		t.Error("invalid design should fail")
 	}
 
@@ -210,7 +210,7 @@ func TestRankPatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rankedAll, err := all.RankPatches("base", 1, 2, 2, 1)
+	rankedAll, err := all.RankPatchesSpec(ClassicSpec("base", 1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,21 +226,21 @@ func TestRankPatches(t *testing.T) {
 
 func TestMeanTimeToServiceOutage(t *testing.T) {
 	s, _ := caseStudy(t)
-	base, err := s.MeanTimeToServiceOutage("base", 1, 2, 2, 1)
+	base, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("base", 1, 2, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base < 300 || base > 360 {
 		t.Errorf("base MTTF = %v h, want just under 360 (two singleton tiers patch monthly)", base)
 	}
-	hardened, err := s.MeanTimeToServiceOutage("hard", 2, 2, 2, 2)
+	hardened, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("hard", 2, 2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hardened <= 10*base {
 		t.Errorf("full redundancy MTTF = %v, expected far above %v", hardened, base)
 	}
-	if _, err := s.MeanTimeToServiceOutage("bad", 0, 1, 1, 1); err == nil {
+	if _, err := s.MeanTimeToServiceOutageSpec(ClassicSpec("bad", 0, 1, 1, 1)); err == nil {
 		t.Error("invalid design should fail")
 	}
 }
@@ -259,14 +259,14 @@ func TestReplicaMonotonicity(t *testing.T) {
 		{2, 1, 2, 2},
 	}
 	for _, counts := range baseCases {
-		base, err := s.EvaluateDesign("base", counts[0], counts[1], counts[2], counts[3])
+		base, err := s.EvaluateSpec(ClassicSpec("base", counts[0], counts[1], counts[2], counts[3]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for tier := 0; tier < 4; tier++ {
 			grown := counts
 			grown[tier]++
-			next, err := s.EvaluateDesign("grown", grown[0], grown[1], grown[2], grown[3])
+			next, err := s.EvaluateSpec(ClassicSpec("grown", grown[0], grown[1], grown[2], grown[3]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +291,7 @@ func TestCustomConfigPatchAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.EvaluateDesign("d1", 1, 1, 1, 1)
+	r, err := s.EvaluateSpec(ClassicSpec("d1", 1, 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,6 +323,16 @@ func TestCustomConfigInterval(t *testing.T) {
 	}
 }
 
+// fullSweep requests every classic design with 1..maxPerTier replicas
+// per tier.
+func fullSweep(maxPerTier int) SpecSweepRequest {
+	var req SpecSweepRequest
+	for _, role := range []string{"dns", "web", "app", "db"} {
+		req.Tiers = append(req.Tiers, TierSweep{Role: role, Min: 1, Max: maxPerTier})
+	}
+	return req
+}
+
 // TestSweepMatchesEnumerate pins the engine-backed sweep surface to the
 // batch enumeration it supersedes.
 func TestSweepMatchesEnumerate(t *testing.T) {
@@ -331,7 +341,7 @@ func TestSweepMatchesEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.Sweep(context.Background(), FullSweep(2))
+	sum, err := s.SweepSpec(context.Background(), fullSweep(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +360,7 @@ func TestSweepMatchesEnumerate(t *testing.T) {
 // keeps nothing but the incremental front, to the full sweep's front.
 func TestSweepSpecParetoMatchesSweepSpec(t *testing.T) {
 	s, _ := caseStudy(t)
-	req := FullSweep(2).Spec()
+	req := fullSweep(2)
 	full, err := s.SweepSpec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -371,9 +381,9 @@ func TestSweepSpecParetoMatchesSweepSpec(t *testing.T) {
 // cache counters behind it.
 func TestSweepBoundsAndStats(t *testing.T) {
 	s, _ := caseStudy(t)
-	req := FullSweep(2)
+	req := fullSweep(2)
 	req.Scatter = &ScatterBounds{MaxASP: 0.2, MinCOA: 0.9962}
-	sum, err := s.Sweep(context.Background(), req)
+	sum, err := s.SweepSpec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +396,7 @@ func TestSweepBoundsAndStats(t *testing.T) {
 	}
 
 	before := s.EngineStats()
-	if _, err := s.Sweep(context.Background(), req); err != nil {
+	if _, err := s.SweepSpec(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	after := s.EngineStats()
@@ -402,7 +412,7 @@ func TestSweepBoundsAndStats(t *testing.T) {
 func TestSweepEachStreams(t *testing.T) {
 	s, _ := caseStudy(t)
 	seen := make(map[string]bool)
-	total, err := s.SweepEach(context.Background(), FullSweep(2), func(r DesignReport) error {
+	total, err := s.SweepSpecEach(context.Background(), fullSweep(2), func(r DesignReport) error {
 		seen[r.Name] = true
 		return nil
 	})
@@ -417,8 +427,9 @@ func TestSweepEachStreams(t *testing.T) {
 // TestSweepRejectsInvalidRange checks request validation.
 func TestSweepRejectsInvalidRange(t *testing.T) {
 	s, _ := caseStudy(t)
-	req := SweepRequest{DNS: SweepRange{Min: 3, Max: 1}}
-	if _, err := s.Sweep(context.Background(), req); err == nil {
+	req := fullSweep(2)
+	req.Tiers[0] = TierSweep{Role: "dns", Min: 3, Max: 1}
+	if _, err := s.SweepSpec(context.Background(), req); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }

@@ -2,79 +2,8 @@ package redpatch
 
 import (
 	"context"
-	"encoding/json"
-	"reflect"
 	"testing"
 )
-
-// TestV1V2Equivalence is the compatibility guarantee of the DesignSpec
-// redesign: every classic 4-tuple design evaluated through the
-// deprecated wrappers must produce byte-identical reports via the
-// role-keyed spec path. Two separate case studies are used so the shared
-// engine cache cannot trivialize the comparison — each side solves its
-// own models.
-func TestV1V2Equivalence(t *testing.T) {
-	v1, err := NewCaseStudyWithConfig(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := NewCaseStudyWithConfig(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range [][4]int{
-		{1, 1, 1, 1},
-		{1, 2, 2, 1},
-		{2, 3, 1, 2},
-	} {
-		old, err := v1.EvaluateDesign("eq", tc[0], tc[1], tc[2], tc[3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := v2.EvaluateSpec(DesignSpec{Name: "eq", Tiers: []TierSpec{
-			{Role: "dns", Replicas: tc[0]},
-			{Role: "web", Replicas: tc[1]},
-			{Role: "app", Replicas: tc[2]},
-			{Role: "db", Replicas: tc[3]},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldJSON, err := json.Marshal(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specJSON, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(oldJSON) != string(specJSON) {
-			t.Errorf("%v: v1 and v2 reports differ:\n%s\n%s", tc, oldJSON, specJSON)
-		}
-	}
-
-	// The deprecated sweep must match the spec sweep design for design.
-	oldSweep, err := v1.Sweep(context.Background(), FullSweep(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	specSweep, err := v2.SweepSpec(context.Background(), SpecSweepRequest{Tiers: []TierSweep{
-		{Role: "dns", Min: 1, Max: 2},
-		{Role: "web", Min: 1, Max: 2},
-		{Role: "app", Min: 1, Max: 2},
-		{Role: "db", Min: 1, Max: 2},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldSweep, specSweep) {
-		t.Fatal("deprecated sweep differs from the spec sweep")
-	}
-	if oldSweep.Total != 16 || len(oldSweep.Reports) != 16 {
-		t.Fatalf("sweep covered %d/%d designs, want 16", oldSweep.Total, len(oldSweep.Reports))
-	}
-}
 
 // TestHeterogeneousFacadeSweep drives the §V variant deployment through
 // the public facade: sweeping the web tier across both stacks yields a
