@@ -113,6 +113,43 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 }
 
+// TestEvaluateRejectsBadRequests sends hostile input to the design
+// routes: malformed or trailing JSON, wrong types and shapes, oversized,
+// inverted or overflowing ranges, wrong methods and unknown paths.
+func TestEvaluateRejectsBadRequests(t *testing.T) {
+	h := testServer(t).handler()
+	const one = `{"spec":{"tiers":[{"role":"dns","replicas":1}]}}`
+	for name, tc := range map[string]struct {
+		method, path, body string
+		wantStatus         int
+	}{
+		"malformed json":      {http.MethodPost, "/api/v2/evaluate", `{"spec":`, http.StatusBadRequest},
+		"unknown field":       {http.MethodPost, "/api/v2/evaluate", `{"specs":{}}`, http.StatusBadRequest},
+		"trailing garbage":    {http.MethodPost, "/api/v2/evaluate", one + `{}`, http.StatusBadRequest},
+		"trailing bracket":    {http.MethodPost, "/api/v2/evaluate", one + `]`, http.StatusBadRequest},
+		"trailing brace":      {http.MethodPost, "/api/v2/evaluate", one + `}`, http.StatusBadRequest},
+		"trailing whitespace": {http.MethodPost, "/api/v2/evaluate", one + " \n\t", http.StatusOK},
+		"wrong type":          {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"dns","replicas":"one"}]}}`, http.StatusBadRequest},
+		"GET evaluate":        {http.MethodGet, "/api/v2/evaluate", ``, http.StatusMethodNotAllowed},
+		"POST healthz":        {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
+		"unknown endpoint":    {http.MethodGet, "/api/v2/nope", ``, http.StatusNotFound},
+		"huge sweep tier":     {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":4000,"max":4000}]}`, http.StatusBadRequest},
+		"huge min only":       {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":100,"max":0}]}`, http.StatusBadRequest},
+		"sweep bad json":      {http.MethodPost, "/api/v2/sweep", `[1,2]`, http.StatusBadRequest},
+		"sweep inverted":      {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":3,"max":1}]}`, http.StatusBadRequest},
+		"sweep overflow": {http.MethodPost, "/api/v2/sweep",
+			`{"tiers":[{"role":"dns","min":1,"max":65536},{"role":"web","min":1,"max":65536},{"role":"app","min":1,"max":65536},{"role":"db","min":1,"max":65536}]}`,
+			http.StatusBadRequest},
+		"negative range":    {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":-1,"max":2}]}`, http.StatusBadRequest},
+		"sweep wrong shape": {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":1,"max":1}],"scatter":{"maxAsp":"high"}}`, http.StatusBadRequest},
+		"pareto bad json":   {http.MethodPost, "/api/v2/pareto", `nope`, http.StatusBadRequest},
+	} {
+		if w := do(t, h, tc.method, tc.path, tc.body); w.Code != tc.wantStatus {
+			t.Errorf("%s: status = %d, want %d (%s)", name, w.Code, tc.wantStatus, w.Body)
+		}
+	}
+}
+
 // sweep16 opens the v2 sweep body of the 16-design space (1..2 replicas
 // on each paper tier); callers append any bounds and the closing brace.
 const sweep16 = `{"tiers":[

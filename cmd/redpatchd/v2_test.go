@@ -247,45 +247,23 @@ func TestSweepStreamNDJSON(t *testing.T) {
 func TestV2RejectsBadRequests(t *testing.T) {
 	h := testServer(t).handler()
 	long := strings.Repeat(`{"role":"web","replicas":1},`, 9)
-	const one = `{"spec":{"tiers":[{"role":"dns","replicas":1}]}}`
 	for name, tc := range map[string]struct {
-		method, path, body string
-		wantStatus         int
+		path, body string
 	}{
-		"unknown scenario":    {http.MethodPost, "/api/v2/evaluate", `{"scenario":"nope","spec":` + classicSpecJSON + `}`, http.StatusBadRequest},
-		"empty spec":          {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[]}}`, http.StatusBadRequest},
-		"unknown stack":       {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"cache","replicas":1}]}}`, http.StatusBadRequest},
-		"zero replicas":       {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":0}]}}`, http.StatusBadRequest},
-		"replica cap":         {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`, http.StatusBadRequest},
-		"tier cap":            {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`, http.StatusBadRequest},
-		"malformed json":      {http.MethodPost, "/api/v2/evaluate", `{"spec":`, http.StatusBadRequest},
-		"unknown field":       {http.MethodPost, "/api/v2/evaluate", `{"specs":{}}`, http.StatusBadRequest},
-		"trailing garbage":    {http.MethodPost, "/api/v2/evaluate", one + `{}`, http.StatusBadRequest},
-		"trailing bracket":    {http.MethodPost, "/api/v2/evaluate", one + `]`, http.StatusBadRequest},
-		"trailing brace":      {http.MethodPost, "/api/v2/evaluate", one + `}`, http.StatusBadRequest},
-		"trailing whitespace": {http.MethodPost, "/api/v2/evaluate", one + " \n\t", http.StatusOK},
-		"wrong type":          {http.MethodPost, "/api/v2/evaluate", `{"spec":{"tiers":[{"role":"dns","replicas":"one"}]}}`, http.StatusBadRequest},
-		"GET evaluate":        {http.MethodGet, "/api/v2/evaluate", ``, http.StatusMethodNotAllowed},
-		"POST healthz":        {http.MethodPost, "/healthz", ``, http.StatusMethodNotAllowed},
-		"unknown endpoint":    {http.MethodGet, "/api/v2/nope", ``, http.StatusNotFound},
-		"unknown variant":     {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`, http.StatusBadRequest},
-		"sweep size cap":      {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`, http.StatusBadRequest},
-		"huge sweep tier":     {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":4000,"max":4000}]}`, http.StatusBadRequest},
-		"huge min only":       {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":100,"max":0}]}`, http.StatusBadRequest},
-		"sweep bad json":      {http.MethodPost, "/api/v2/sweep", `[1,2]`, http.StatusBadRequest},
-		"sweep inverted":      {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":3,"max":1}]}`, http.StatusBadRequest},
-		"sweep overflow": {http.MethodPost, "/api/v2/sweep",
-			`{"tiers":[{"role":"dns","min":1,"max":65536},{"role":"web","min":1,"max":65536},{"role":"app","min":1,"max":65536},{"role":"db","min":1,"max":65536}]}`,
-			http.StatusBadRequest},
-		"negative range":     {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":-1,"max":2}]}`, http.StatusBadRequest},
-		"sweep wrong shape":  {http.MethodPost, "/api/v2/sweep", `{"tiers":[{"role":"dns","min":1,"max":1}],"scatter":{"maxAsp":"high"}}`, http.StatusBadRequest},
-		"pareto bad json":    {http.MethodPost, "/api/v2/pareto", `nope`, http.StatusBadRequest},
-		"stream bad json":    {http.MethodPost, "/api/v2/sweep/stream", `nope`, http.StatusBadRequest},
-		"campaign no window": {http.MethodPost, "/api/v2/plan-campaign", `{"role":"web"}`, http.StatusBadRequest},
-		"campaign bad role":  {http.MethodPost, "/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`, http.StatusBadRequest},
+		"unknown scenario":   {"/api/v2/evaluate", `{"scenario":"nope","spec":` + classicSpecJSON + `}`},
+		"empty spec":         {"/api/v2/evaluate", `{"spec":{"tiers":[]}}`},
+		"unknown stack":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"cache","replicas":1}]}}`},
+		"zero replicas":      {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":0}]}}`},
+		"replica cap":        {"/api/v2/evaluate", `{"spec":{"tiers":[{"role":"web","replicas":1000}]}}`},
+		"tier cap":           {"/api/v2/evaluate", `{"spec":{"tiers":[` + long[:len(long)-1] + `]}}`},
+		"unknown variant":    {"/api/v2/sweep", `{"tiers":[{"role":"web","min":1,"max":1,"variants":["iis"]}]}`},
+		"sweep size cap":     {"/api/v2/sweep", `{"tiers":[{"role":"dns","min":1,"max":9},{"role":"web","min":1,"max":9},{"role":"app","min":1,"max":9},{"role":"db","min":1,"max":9}]}`},
+		"stream bad json":    {"/api/v2/sweep/stream", `nope`},
+		"campaign no window": {"/api/v2/plan-campaign", `{"role":"web"}`},
+		"campaign bad role":  {"/api/v2/plan-campaign", `{"role":"mainframe","windowMinutes":30}`},
 	} {
-		if w := do(t, h, tc.method, tc.path, tc.body); w.Code != tc.wantStatus {
-			t.Errorf("%s: status = %d, want %d (%s)", name, w.Code, tc.wantStatus, w.Body)
+		if w := do(t, h, http.MethodPost, tc.path, tc.body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (%s)", name, w.Code, w.Body)
 		}
 	}
 }
